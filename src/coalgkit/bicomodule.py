@@ -22,6 +22,7 @@ from .exactlin import (
     factor_through,
     kernel,
     kron,
+    kron_mul,
     solve,
 )
 
@@ -54,20 +55,20 @@ def validate_bicomodule(m: Bicomodule) -> ValidationReport:
     checks = [
         _check(
             "left coassociativity",
-            kron(c.delta, eye_m) * m.rho_l,
-            kron(eye_c, m.rho_l) * m.rho_l,
+            kron_mul([c.delta, eye_m], m.rho_l),
+            kron_mul([eye_c, m.rho_l], m.rho_l),
         ),
         _check(
             "right coassociativity",
-            kron(eye_m, c.delta) * m.rho_r,
-            kron(m.rho_r, eye_c) * m.rho_r,
+            kron_mul([eye_m, c.delta], m.rho_r),
+            kron_mul([m.rho_r, eye_c], m.rho_r),
         ),
-        _check("left counit", kron(c.epsilon, eye_m) * m.rho_l, eye_m),
-        _check("right counit", kron(eye_m, c.epsilon) * m.rho_r, eye_m),
+        _check("left counit", kron_mul([c.epsilon, eye_m], m.rho_l), eye_m),
+        _check("right counit", kron_mul([eye_m, c.epsilon], m.rho_r), eye_m),
         _check(
             "compatibility",
-            kron(eye_c, m.rho_r) * m.rho_l,
-            kron(m.rho_l, eye_c) * m.rho_r,
+            kron_mul([eye_c, m.rho_r], m.rho_l),
+            kron_mul([m.rho_l, eye_c], m.rho_r),
         ),
     ]
     return ValidationReport(tuple(checks))
@@ -87,9 +88,9 @@ class BicomoduleMap:
                 f"map must be {self.target.dim}x{self.source.dim}, got {self.map.shape}"
             )
         eye = Matrix.identity(self.source.over.dim)
-        if self.target.rho_l * self.map != kron(eye, self.map) * self.source.rho_l:
+        if self.target.rho_l * self.map != kron_mul([eye, self.map], self.source.rho_l):
             raise NotBicomoduleMap("left coaction not intertwined")
-        if self.target.rho_r * self.map != kron(self.map, eye) * self.source.rho_r:
+        if self.target.rho_r * self.map != kron_mul([self.map, eye], self.source.rho_r):
             raise NotBicomoduleMap("right coaction not intertwined")
 
 
@@ -129,8 +130,8 @@ def cotensor(v: Bicomodule, w: Bicomodule):
     eye_c = Matrix.identity(c.dim)
     equalizer = kron(v.rho_r, eye_w) - kron(eye_v, w.rho_l)
     chi = kernel(equalizer).basis
-    rho_l = factor_through(kron(eye_c, chi), kron(v.rho_l, eye_w) * chi)
-    rho_r = factor_through(kron(chi, eye_c), kron(eye_v, w.rho_r) * chi)
+    rho_l = factor_through(kron(eye_c, chi), kron_mul([v.rho_l, eye_w], chi))
+    rho_r = factor_through(kron(chi, eye_c), kron_mul([eye_v, w.rho_r], chi))
     result = Bicomodule(c, chi.cols, rho_l, rho_r)
     report = validate_bicomodule(result)
     if not report.passed:
@@ -155,7 +156,7 @@ def cotensor_tower(m: Bicomodule, n: int) -> list:
     for k in range(2, n + 1):
         prev, chi_prev = tower[k - 1]
         step, chi_step = cotensor(prev, m)
-        chi = kron(chi_prev, eye_m) * chi_step
+        chi = kron_mul([chi_prev, eye_m], chi_step)
         tower.append((step, chi))
     return tower
 
@@ -169,7 +170,7 @@ def cotensor_of_maps(f: BicomoduleMap, g: BicomoduleMap) -> Matrix:
     """Restriction-corestriction of f (x) g to the cotensor subspaces."""
     _, chi_src = cotensor(f.source, g.source)
     _, chi_tgt = cotensor(f.target, g.target)
-    return factor_through(chi_tgt, kron(f.map, g.map) * chi_src)
+    return factor_through(chi_tgt, kron_mul([f.map, g.map], chi_src))
 
 
 # -- induced structures on kernels and cokernels -------------------------------
@@ -199,12 +200,14 @@ def induced_on_cokernel(f: BicomoduleMap):
     section = solve(proj, Matrix.identity(qdim))
     if section is None:
         raise AssertionError("cokernel projection has no right inverse")
-    rho_l = kron(eye_c, proj) * f.target.rho_l * section
-    rho_r = kron(proj, eye_c) * f.target.rho_r * section
+    pushed_l = kron_mul([eye_c, proj], f.target.rho_l)
+    pushed_r = kron_mul([proj, eye_c], f.target.rho_r)
+    rho_l = pushed_l * section
+    rho_r = pushed_r * section
     # the coactions must descend, not just factor through the chosen section
-    if rho_l * proj != kron(eye_c, proj) * f.target.rho_l:
+    if rho_l * proj != pushed_l:
         raise AssertionError("left coaction does not descend to the cokernel")
-    if rho_r * proj != kron(proj, eye_c) * f.target.rho_r:
+    if rho_r * proj != pushed_r:
         raise AssertionError("right coaction does not descend to the cokernel")
     cok = Bicomodule(c, qdim, rho_l, rho_r)
     report = validate_bicomodule(cok)
@@ -221,7 +224,7 @@ def unit_left(m: Bicomodule):
     c = m.over
     _, chi = cotensor(regular_bicomodule(c), m)
     fwd = factor_through(chi, m.rho_l)
-    back = kron(c.epsilon, Matrix.identity(m.dim)) * chi
+    back = kron_mul([c.epsilon, Matrix.identity(m.dim)], chi)
     return fwd, back
 
 
@@ -230,5 +233,5 @@ def unit_right(m: Bicomodule):
     c = m.over
     _, chi = cotensor(m, regular_bicomodule(c))
     fwd = factor_through(chi, m.rho_r)
-    back = kron(Matrix.identity(m.dim), c.epsilon) * chi
+    back = kron_mul([Matrix.identity(m.dim), c.epsilon], chi)
     return fwd, back

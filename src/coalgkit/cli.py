@@ -103,6 +103,23 @@ def _load_coalgebra(path):
         raise CliError(f"{path}: {exc}", 2)
 
 
+def _load_valid_coalgebra(path):
+    """A loaded coalgebra whose axioms hold; otherwise exit 1 naming the failure."""
+    c = _load_coalgebra(path)
+    failures = validate_coalgebra(c).failures()
+    if failures:
+        details = "; ".join(
+            "{} fails at ({},{}): {} != {}".format(f.axiom, *f.witness) for f in failures
+        )
+        raise CliError(f"{path}: not a coalgebra: {details}", 1)
+    return c
+
+
+def _require_nonnegative(value: int, flag: str):
+    if value < 0:
+        raise CliError(f"{flag} must be nonnegative, got {value}", 2)
+
+
 def _load_bicomodule(path):
     try:
         return serialize.bicomodule_from_obj(_load(path), base_dir=os.path.dirname(path))
@@ -145,7 +162,7 @@ def cmd_validate(args, report):
 
 
 def cmd_coradical(args, report):
-    c = _load_coalgebra(args.file)
+    c = _load_valid_coalgebra(args.file)
     sub = coradical(c)
     report.witnesses["dimension"] = sub.dim
     _emit(report, serialize.subspace_to_obj(sub), args.output)
@@ -188,6 +205,7 @@ def cmd_wedge_filtration(args, report):
 
 
 def cmd_build_t(args, report):
+    _require_nonnegative(args.trunc, "--trunc")
     c = _load_coalgebra(args.coalgebra)
     m = _load_bicomodule(args.bicomodule)
     if m.over != c:
@@ -213,6 +231,7 @@ def cmd_build_t(args, report):
 
 
 def cmd_quiver(args, report):
+    _require_nonnegative(args.trunc, "--trunc")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             q = parse_quiver(fh.read())
@@ -241,6 +260,7 @@ def cmd_quiver(args, report):
 
 
 def cmd_cohomology(args, report):
+    _require_nonnegative(args.degree, "--degree")
     c = _load_coalgebra(args.coalgebra)
     l = _load_bicomodule(args.bicomodule)
     if l.over != c:
@@ -288,7 +308,7 @@ def cmd_extension(args, report):
 
 
 def cmd_coseparable(args, report):
-    c = _load_coalgebra(args.file)
+    c = _load_valid_coalgebra(args.file)
     witness = is_coseparable(c)
     if witness is None:
         report.finish("fail")
@@ -299,7 +319,7 @@ def cmd_coseparable(args, report):
 
 
 def cmd_formally_smooth(args, report):
-    c = _load_coalgebra(args.file)
+    c = _load_valid_coalgebra(args.file)
     result = is_formally_smooth(c)
     report.witnesses["h2_dim"] = result.h2_dim
     if not result.smooth:

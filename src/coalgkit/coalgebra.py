@@ -21,6 +21,7 @@ from .exactlin import (
     factor_through,
     kernel,
     kron,
+    kron_mul,
 )
 
 
@@ -88,12 +89,12 @@ def validate_coalgebra(c: Coalgebra) -> ValidationReport:
     """Check coassociativity and both counit laws as exact matrix identities."""
     n = c.dim
     eye = Matrix.identity(n)
-    coassoc_l = kron(c.delta, eye) * c.delta
-    coassoc_r = kron(eye, c.delta) * c.delta
+    coassoc_l = kron_mul([c.delta, eye], c.delta)
+    coassoc_r = kron_mul([eye, c.delta], c.delta)
     checks = [
         _check("coassociativity", coassoc_l, coassoc_r),
-        _check("left counit", kron(c.epsilon, eye) * c.delta, eye),
-        _check("right counit", kron(eye, c.epsilon) * c.delta, eye),
+        _check("left counit", kron_mul([c.epsilon, eye], c.delta), eye),
+        _check("right counit", kron_mul([eye, c.epsilon], c.delta), eye),
     ]
     return ValidationReport(tuple(checks))
 
@@ -110,7 +111,7 @@ class CoalgebraMap:
                 f"map must be {self.target.dim}x{self.source.dim}, got {self.map.shape}"
             )
         lhs = self.target.delta * self.map
-        rhs = kron(self.map, self.map) * self.source.delta
+        rhs = kron_mul([self.map, self.map], self.source.delta)
         diff = lhs.first_difference(rhs)
         if diff is not None:
             raise NotCoalgebraMap(f"comultiplication not intertwined, first mismatch {diff}")
@@ -176,7 +177,7 @@ def iterated_delta(c: Coalgebra, n: int) -> Matrix:
     eye = Matrix.identity(c.dim)
     out = c.delta
     for _ in range(n - 1):
-        out = kron(out, eye) * c.delta
+        out = kron_mul([out, eye], c.delta)
     return out
 
 
@@ -278,9 +279,9 @@ def kernel_subcoalgebra(c: Coalgebra, f: Matrix, target) -> tuple:
     eye = Matrix.identity(n)
     if f.shape != (target.dim, n):
         raise DimensionMismatch(f"f must be {target.dim}x{n}")
-    if target.rho_l * f != kron(eye, f) * c.delta:
+    if target.rho_l * f != kron_mul([eye, f], c.delta):
         raise NotBicomoduleMap("left coaction not intertwined")
-    if target.rho_r * f != kron(f, eye) * c.delta:
+    if target.rho_r * f != kron_mul([f, eye], c.delta):
         raise NotBicomoduleMap("right coaction not intertwined")
     ker = kernel(f)
     inc = ker.basis
@@ -301,7 +302,7 @@ def wedge(c: Coalgebra, x: Subspace, y: Subspace) -> Subspace:
         raise DimensionMismatch("subspaces must live in the coalgebra")
     p_x, _ = cokernel(x.basis)
     p_y, _ = cokernel(y.basis)
-    return kernel(kron(p_x, p_y) * c.delta)
+    return kernel(kron_mul([p_x, p_y], c.delta))
 
 
 def _wedge_power_maps(c: Coalgebra, proj: Matrix, n_max: int):
@@ -309,7 +310,7 @@ def _wedge_power_maps(c: Coalgebra, proj: Matrix, n_max: int):
     current = proj
     yield 1, current
     for n in range(2, n_max + 1):
-        current = kron(current, proj) * c.delta
+        current = kron_mul([current, proj], c.delta)
         yield n, current
 
 

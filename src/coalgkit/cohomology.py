@@ -27,6 +27,7 @@ from .exactlin import (
     column_space,
     kernel,
     kron,
+    kron_mul,
     solve,
     solve_matrix_equations,
     subspace_sum,
@@ -74,14 +75,13 @@ def face(c: Coalgebra, l: Bicomodule, f: Cochain, i: int) -> Matrix:
         raise ValueError(f"face index {i} out of range for degree {n}")
     nn = c.dim
     if i == 0:
-        return kron(f.value, Matrix.identity(nn)) * l.rho_r
+        return kron_mul([f.value, Matrix.identity(nn)], l.rho_r)
     if i == n + 1:
-        return kron(Matrix.identity(nn), f.value) * l.rho_l
-    middle = kron(
-        Matrix.identity(nn ** (n - i)),
-        kron(c.delta, Matrix.identity(nn ** (i - 1))),
+        return kron_mul([Matrix.identity(nn), f.value], l.rho_l)
+    return kron_mul(
+        [Matrix.identity(nn ** (n - i)), c.delta, Matrix.identity(nn ** (i - 1))],
+        f.value,
     )
-    return middle * f.value
 
 
 def differential(c: Coalgebra, l: Bicomodule, f: Cochain) -> Cochain:
@@ -197,11 +197,11 @@ def extension_structure(c: Coalgebra, l: Bicomodule, zeta_value: Matrix):
     i_l = Matrix(total_dim, m, {(n + j, j): 1 for j in range(m)})
     p_c = i_c.transpose()
     p_l = i_l.transpose()
-    delta = kron(i_c, i_c) * c.delta * p_c
-    delta = delta + kron(i_l, i_c) * l.rho_r * p_l
-    delta = delta + kron(i_c, i_l) * l.rho_l * p_l
-    delta = delta - kron(i_c, i_c) * zeta_value * p_l
-    eps = c.epsilon * p_c + kron(c.epsilon, c.epsilon) * zeta_value * p_l
+    delta = kron_mul([i_c, i_c], c.delta) * p_c
+    delta = delta + kron_mul([i_l, i_c], l.rho_r) * p_l
+    delta = delta + kron_mul([i_c, i_l], l.rho_l) * p_l
+    delta = delta - kron_mul([i_c, i_c], zeta_value) * p_l
+    eps = c.epsilon * p_c + kron_mul([c.epsilon, c.epsilon], zeta_value) * p_l
     return delta, eps, i_c, i_l, p_c, p_l
 
 
@@ -227,11 +227,11 @@ def hochschild_extension(c: Coalgebra, l: Bicomodule, zeta: Cochain) -> Hochschi
     sigma = CoalgebraMap(c, total, i_c)
     if p_c * i_c != Matrix.identity(c.dim):
         raise InternalCheckFailed("retraction does not split the inclusion")
-    if not (kron(p_l, p_l) * delta).is_zero():
+    if not kron_mul([p_l, p_l], delta).is_zero():
         raise InternalCheckFailed("base does not wedge to the whole extension")
-    if l.rho_l * p_l != kron(p_c, p_l) * delta:
+    if l.rho_l * p_l != kron_mul([p_c, p_l], delta):
         raise InternalCheckFailed("left coaction is not recovered")
-    if l.rho_r * p_l != kron(p_l, p_c) * delta:
+    if l.rho_r * p_l != kron_mul([p_l, p_c], delta):
         raise InternalCheckFailed("right coaction is not recovered")
     return HochschildExtensionData(
         base=c,
@@ -285,8 +285,8 @@ def is_coseparable(c: Coalgebra) -> Optional[Matrix]:
     def residual(pi: Matrix):
         return [
             pi * c.delta - eye,
-            c.delta * pi - kron(eye, pi) * outer.rho_l,
-            c.delta * pi - kron(pi, eye) * outer.rho_r,
+            c.delta * pi - kron_mul([eye, pi], outer.rho_l),
+            c.delta * pi - kron_mul([pi, eye], outer.rho_r),
         ]
 
     return solve_matrix_equations((n, n * n), residual)
@@ -303,15 +303,15 @@ def is_I_injective(m: Bicomodule) -> Optional[Matrix]:
     c = m.over
     n, md = c.dim, m.dim
     eye_c = Matrix.identity(n)
-    j = kron(eye_c, m.rho_r) * m.rho_l
+    j = kron_mul([eye_c, m.rho_r], m.rho_l)
     big_rho_l = kron(c.delta, Matrix.identity(md * n))
     big_rho_r = kron(Matrix.identity(n * md), c.delta)
 
     def residual(r: Matrix):
         return [
             r * j - Matrix.identity(md),
-            m.rho_l * r - kron(eye_c, r) * big_rho_l,
-            m.rho_r * r - kron(r, eye_c) * big_rho_r,
+            m.rho_l * r - kron_mul([eye_c, r], big_rho_l),
+            m.rho_r * r - kron_mul([r, eye_c], big_rho_r),
         ]
 
     return solve_matrix_equations((md, n * md * n), residual)

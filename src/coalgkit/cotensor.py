@@ -34,6 +34,7 @@ from .exactlin import (
     cokernel,
     factor_through,
     kron,
+    kron_mul,
 )
 
 
@@ -123,13 +124,13 @@ def build_truncated(c: Coalgebra, m: Bicomodule, trunc: int) -> TruncatedCotenso
     delta_data = {}
     for k, s in enumerate(slices):
         if k == 0:
-            block = kron(inclusions[0], inclusions[0]) * c.delta
+            block = kron_mul([inclusions[0], inclusions[0]], c.delta)
         else:
-            block = kron(inclusions[0], inclusions[k]) * s.bicomodule.rho_l
-            block = block + kron(inclusions[k], inclusions[0]) * s.bicomodule.rho_r
+            block = kron_mul([inclusions[0], inclusions[k]], s.bicomodule.rho_l)
+            block = block + kron_mul([inclusions[k], inclusions[0]], s.bicomodule.rho_r)
             for r in range(1, k):
-                block = block + kron(inclusions[r], inclusions[k - r]) * _split_map(
-                    slices, r, k
+                block = block + kron_mul(
+                    [inclusions[r], inclusions[k - r]], _split_map(slices, r, k)
                 )
         off = offsets[k]
         for (i, j), v in block.data.items():
@@ -177,7 +178,7 @@ def _zeta_value(slices, n: int, partial_dim: int) -> Matrix:
     for t in range(1, n):
         i_t = _partial_inclusion(dims, t, n, partial_dim)
         i_nt = _partial_inclusion(dims, n - t, n, partial_dim)
-        out = out - kron(i_t, i_nt) * _split_map(slices, t, n)
+        out = out - kron_mul([i_t, i_nt], _split_map(slices, t, n))
     return out
 
 
@@ -186,8 +187,8 @@ def _graded_bicomodule(slices, n: int, partial: Coalgebra) -> Bicomodule:
     dims = [s.dim for s in slices]
     inc0 = _partial_inclusion(dims, 0, n, partial.dim)
     s = slices[n]
-    rho_l = kron(inc0, Matrix.identity(s.dim)) * s.bicomodule.rho_l
-    rho_r = kron(Matrix.identity(s.dim), inc0) * s.bicomodule.rho_r
+    rho_l = kron_mul([inc0, Matrix.identity(s.dim)], s.bicomodule.rho_l)
+    rho_r = kron_mul([Matrix.identity(s.dim), inc0], s.bicomodule.rho_r)
     bic = Bicomodule(partial, s.dim, rho_l, rho_r)
     report = validate_bicomodule(bic)
     if not report.passed:
@@ -245,7 +246,7 @@ def component_formula_check(t: TruncatedCotensorCoalgebra) -> bool:
     delta = t.total.delta
     for mm in range(t.trunc + 1):
         for nn in range(t.trunc + 1):
-            lhs = kron(t.projections[mm], t.projections[nn]) * delta
+            lhs = kron_mul([t.projections[mm], t.projections[nn]], delta)
             k = mm + nn
             if k > t.trunc:
                 rhs = Matrix.zero(lhs.rows, lhs.cols)
@@ -267,7 +268,7 @@ def grading_check(t: TruncatedCotensorCoalgebra) -> bool:
     delta = t.total.delta
     for mm in range(t.trunc + 1):
         for nn in range(t.trunc + 1):
-            lhs = kron(t.projections[mm], t.projections[nn]) * delta
+            lhs = kron_mul([t.projections[mm], t.projections[nn]], delta)
             for k in range(t.trunc + 1):
                 if mm + nn != k and not (lhs * t.inclusions[k]).is_zero():
                     return False
@@ -290,7 +291,7 @@ def graded_limit_check(t: TruncatedCotensorCoalgebra) -> bool:
     current = proj
     for n in range(0, t.trunc + 1):
         if n > 0:
-            current = kron(current, proj) * t.total.delta
+            current = kron_mul([current, proj], t.total.delta)
         for b in range(0, min(n, t.trunc) + 1):
             if not (current * t.inclusions[b]).is_zero():
                 return False
@@ -331,10 +332,7 @@ def _map_power(f_m: Matrix, e_tower, m_slices, k: int) -> Matrix:
         raise ValueError("degree zero is handled separately")
     chi_e = e_tower[k][1]
     chi_m = m_slices[k].chi
-    power = f_m
-    for _ in range(k - 1):
-        power = kron(power, f_m)
-    return factor_through(chi_m, power * chi_e)
+    return factor_through(chi_m, kron_mul([f_m] * k, chi_e))
 
 
 def universal_map(
@@ -353,14 +351,14 @@ def universal_map(
     c = t.base
     eye_e = Matrix.identity(e.dim)
     eye_c = Matrix.identity(c.dim)
-    rho_l_e = kron(f_c.map, eye_e) * e.delta
-    rho_r_e = kron(eye_e, f_c.map) * e.delta
+    rho_l_e = kron_mul([f_c.map, eye_e], e.delta)
+    rho_r_e = kron_mul([eye_e, f_c.map], e.delta)
     e_bic = Bicomodule(c, e.dim, rho_l_e, rho_r_e)
     if f_m.shape != (t.input.dim, e.dim):
         raise NotBicomoduleMap(f"f_m must be {t.input.dim}x{e.dim}")
-    if t.input.rho_l * f_m != kron(eye_c, f_m) * rho_l_e:
+    if t.input.rho_l * f_m != kron_mul([eye_c, f_m], rho_l_e):
         raise NotBicomoduleMap("left coaction not intertwined")
-    if t.input.rho_r * f_m != kron(f_m, eye_c) * rho_r_e:
+    if t.input.rho_r * f_m != kron_mul([f_m, eye_c], rho_r_e):
         raise NotBicomoduleMap("right coaction not intertwined")
 
     corad = coradical(e)

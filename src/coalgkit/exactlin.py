@@ -1,9 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Matrices are immutable maps between coordinate spaces with entries in Q,
 held as a sparse dictionary of nonzero entries so that maps into very
 large tensor powers stay cheap.  All semantics (shape checks, equality,
 serialization) are those of an ordinary dense rows x cols matrix.
+
+Tensor products are applied without being formed: kron_mul(factors, x)
+returns (F1 (x) ... (x) Fk) . x, the same matrix as kron_all(factors) * x,
+at the cost of the entries that actually meet a nonzero of x.
 
 Subspaces are kept in a canonical reduced column-echelon form, so that
 two equal subspaces have literally identical basis matrices and equality
@@ -237,6 +241,89 @@ def kron_all(factors: Iterable[Matrix]) -> Matrix:
     if out is None:
         return Matrix.identity(1)
     return out
+
+
+def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
+    """(F1 (x) ... (x) Fk) . x without forming the tensor product.
+
+    Equal to kron_all(factors) * x.  Row r of x is the tensor index
+    (c1, ..., ck) read in mixed radix over the factors' column counts, left
+    factor most significant.  The loop is chosen from the nonzero counts:
+    when the product has fewer nonzeros than x, its entries are enumerated
+    against a row index of x; otherwise each nonzero row of x is expanded
+    through column ci of every factor Fi.  Either way only entries that
+    meet a nonzero of x are multiplied.
+    """
+    factors = list(factors)
+    rows = cols = nnz = 1
+    for f in factors:
+        rows *= f.rows
+        cols *= f.cols
+        nnz *= len(f.data)
+    if cols != x.rows:
+        shapes = " (x) ".join(f"{f.rows}x{f.cols}" for f in factors)
+        raise DimensionMismatch(f"({shapes}) * {x.shape}")
+    # coefficients are kept as None where they are exactly one, which spares
+    # most multiplications on the 0/1 structure matrices
+    x_rows = {}
+    if nnz < len(x.data):
+        entries = [(0, 0, None)]
+        for f in factors:
+            fr, fc = f.rows, f.cols
+            items = [(i, j, _unit_or(v)) for (i, j), v in f.data.items()]
+            entries = [
+                (r * fr + i, c * fc + j, v if a is None else a if v is None else a * v)
+                for r, c, a in entries
+                for i, j, v in items
+            ]
+        needed = {c for _, c, _ in entries}
+        for (k, j), v in x.data.items():
+            if k in needed:
+                x_rows.setdefault(k, []).append((j, v))
+        terms = ((r, a, x_rows[c]) for r, c, a in entries if c in x_rows)
+    else:
+        for (k, j), v in x.data.items():
+            x_rows.setdefault(k, []).append((j, v))
+        terms = _expand_rows(factors, x_rows)
+
+    acc = {}
+    for r, a, hits in terms:
+        for j, b in hits:
+            if a is not None:
+                b = a * b
+            ij = (r, j)
+            old = acc.get(ij)
+            acc[ij] = b if old is None else old + b
+    return Matrix(rows, x.cols, acc)  # drops the sums that cancelled to zero
+
+
+def _unit_or(v: Fraction) -> Optional[Fraction]:
+    return None if v == 1 else v
+
+
+def _expand_rows(factors: list, x_rows: dict):
+    """Yield (row, coefficient, hits) for the tensor-product column of each row of x."""
+    radices = [f.cols for f in reversed(factors)]
+    plan = []
+    for f in factors:
+        fcols = [[] for _ in range(f.cols)]
+        for (i, j), v in f.data.items():
+            fcols[j].append((i, _unit_or(v)))
+        plan.append((f.rows, fcols))
+    for c, hits in x_rows.items():
+        digits = []
+        for n in radices:
+            c, d = divmod(c, n)
+            digits.append(d)
+        column = [(0, None)]
+        for (fr, fcols), d in zip(plan, reversed(digits)):
+            column = [
+                (r * fr + i, v if a is None else a if v is None else a * v)
+                for r, a in column
+                for i, v in fcols[d]
+            ]
+        for r, a in column:
+            yield r, a, hits
 
 
 # -- echelon machinery -----------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coalgebra import Coalgebra, grouplike
 from .bicomodule import Bicomodule, validate_bicomodule
-from .exactlin import Matrix, factor_through
+from .exactlin import Matrix, factor_through, kron_mul
 
 
 class ParseError(ValueError):
@@ -238,7 +238,7 @@ def oracle_compare(q: Quiver, trunc: int) -> Matrix:
 
     if kernel(iso).dim != 0:
         raise MismatchReport("basis-matching map is not invertible")
-    diff = (t.total.delta * iso).first_difference(kron_pair(iso) * oracle.delta)
+    diff = (t.total.delta * iso).first_difference(kron_mul([iso, iso], oracle.delta))
     if diff is not None:
         raise MismatchReport(
             f"comultiplications disagree at entry ({diff[0]},{diff[1]}): "
@@ -252,7 +252,3 @@ def oracle_compare(q: Quiver, trunc: int) -> Matrix:
             witness=diff,
         )
     return iso
-
-
-def kron_pair(m: Matrix) -> Matrix:
-    return m.kron(m)

@@ -32,6 +32,13 @@ def decode_rational(v) -> Fraction:
         raise FormatError(str(exc)) from exc
 
 
+def _decode_dim(v, what: str) -> int:
+    """A dimension from a file: a nonnegative int, and never a bool or a float."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise FormatError(f"{what} must be a nonnegative integer, got {v!r}")
+    return v
+
+
 def matrix_to_obj(m: Matrix) -> dict:
     return {
         "rows": m.rows,
@@ -43,7 +50,7 @@ def matrix_to_obj(m: Matrix) -> dict:
 def matrix_from_obj(obj) -> Matrix:
     if not isinstance(obj, dict) or not {"rows", "cols", "entries"} <= set(obj):
         raise FormatError("matrix object needs rows, cols and entries")
-    rows, cols = obj["rows"], obj["cols"]
+    rows, cols = _decode_dim(obj["rows"], "rows"), _decode_dim(obj["cols"], "cols")
     entries = obj["entries"]
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise FormatError(f"entries do not form a {rows}x{cols} grid")
@@ -70,7 +77,7 @@ def coalgebra_from_obj(obj):
     if not isinstance(obj, dict) or not {"dim", "delta", "epsilon"} <= set(obj):
         raise FormatError("coalgebra object needs dim, delta and epsilon")
     return Coalgebra(
-        dim=obj["dim"],
+        dim=_decode_dim(obj["dim"], "coalgebra dim"),
         delta=matrix_from_obj(obj["delta"]),
         epsilon=matrix_from_obj(obj["epsilon"]),
     )
@@ -99,7 +106,7 @@ def bicomodule_from_obj(obj, base_dir=None):
     coalg = coalgebra_from_obj(over) if isinstance(over, dict) else over
     return Bicomodule(
         over=coalg,
-        dim=obj["dim"],
+        dim=_decode_dim(obj["dim"], "bicomodule dim"),
         rho_l=matrix_from_obj(obj["rho_l"]),
         rho_r=matrix_from_obj(obj["rho_r"]),
     )
@@ -134,7 +141,7 @@ def truncated_to_obj(t, include_maps: bool = False) -> dict:
 def truncated_from_obj(obj):
     from .bicomodule import Bicomodule
     from .cotensor import build_truncated
-    from .exactlin import kron
+    from .exactlin import kron_mul
 
     if not isinstance(obj, dict) or not {"total", "trunc", "grading"} <= set(obj):
         raise FormatError("truncated object needs total, trunc and grading")
@@ -152,15 +159,15 @@ def truncated_from_obj(obj):
         base = coalgebra_from_obj(
             {
                 "dim": d0,
-                "delta": matrix_to_obj(kron(p0, p0) * total.delta * i0),
+                "delta": matrix_to_obj(kron_mul([p0, p0], total.delta) * i0),
                 "epsilon": matrix_to_obj(total.epsilon * i0),
             }
         )
         inp = Bicomodule(
             base,
             d1,
-            kron(p0, p1) * total.delta * i1,
-            kron(p1, p0) * total.delta * i1,
+            kron_mul([p0, p1], total.delta) * i1,
+            kron_mul([p1, p0], total.delta) * i1,
         )
     else:
         raise FormatError("degree-zero truncations need embedded base and input")

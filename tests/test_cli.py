@@ -250,3 +250,52 @@ def test_structure_files_round_trip(files):
         assert serialize.dumps(serialize.load_json(path)).encode() == raw
     decoded = serialize.matrix_from_obj(values["matrix"])
     assert serialize.matrix_to_obj(decoded) == values["matrix"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-T", "--coalgebra", "{c}", "--bicomodule", "{m}", "--trunc", "-1"],
+        ["cohomology", "--coalgebra", "{c}", "--bicomodule", "{m}", "--degree", "-1"],
+        ["quiver", "--file", "{q}", "--trunc", "-1"],
+    ],
+)
+def test_negative_numeric_argument_is_exit_2(files, capsys, argv):
+    tmp, write = files
+    m = arrow_bicomodule(loop_quiver())
+    paths = {
+        "c": write("c.json", serialize.coalgebra_to_obj(m.over)),
+        "m": write("m.json", serialize.bicomodule_to_obj(m)),
+        "q": str(tmp / "loop.q"),
+    }
+    (tmp / "loop.q").write_text("vertex v\narrow l: v -> v\n")
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["coradical", "coseparable", "formally-smooth"])
+def test_no_verdict_on_a_non_coalgebra(files, capsys, command):
+    _, write = files
+    obj = serialize.coalgebra_to_obj(divided_power(2))
+    obj["delta"]["entries"][2 * 3 + 2][1] = 1  # p2 (x) p2 in delta(p1): counits hold, coassociativity fails
+    path = write("not_coassociative.json", obj)
+    assert main(["validate", path]) == 1
+    capsys.readouterr()
+    assert main([command, path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:") and "coassociativity fails at" in out.err
+
+
+@pytest.mark.parametrize("dim", [True, 1.0, -1, "1"])
+def test_dims_must_be_nonnegative_ints(files, dim):
+    _, write = files
+    coalgebra = dict(serialize.coalgebra_to_obj(grouplike(1)), dim=dim)
+    bicomodule = dict(serialize.bicomodule_to_obj(arrow_bicomodule(loop_quiver())), dim=dim)
+    for obj in (coalgebra, bicomodule):
+        assert main(["validate", write("bad.json", obj)]) == 2
+    matrix = serialize.matrix_to_obj(Matrix.identity(1))
+    for key in ("rows", "cols"):
+        with pytest.raises(serialize.FormatError):
+            serialize.matrix_from_obj(dict(matrix, **{key: dim}))

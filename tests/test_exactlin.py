@@ -16,6 +16,8 @@ from coalgkit.exactlin import (
     factor_through,
     kernel,
     kron,
+    kron_all,
+    kron_mul,
     preimage,
     rank,
     solve,
@@ -131,6 +133,57 @@ def test_kron_mixed_product(a, b, c, d):
 @given(matrices(2, 2), matrices(2, 3), matrices(3, 2))
 def test_kron_associativity(a, b, c):
     assert kron(kron(a, b), c) == kron(a, kron(b, c))
+
+
+@st.composite
+def sparse_matrices(draw, rows=None, cols=None):
+    """Rational matrices with 0-3 rows and columns, from empty to full."""
+    rows = draw(st.integers(0, 3)) if rows is None else rows
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    if not rows or not cols:
+        return Matrix.zero(rows, cols)
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return Matrix(rows, cols, draw(st.dictionaries(cells, small_rational)))
+
+
+tensor_factors = st.one_of(st.integers(0, 3).map(Matrix.identity), sparse_matrices())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(tensor_factors, min_size=1, max_size=3), st.data())
+def test_kron_mul_matches_kron_product(factors, data):
+    cols = 1
+    for f in factors:
+        cols *= f.cols
+    x = data.draw(sparse_matrices(rows=cols))
+    assert kron_mul(factors, x) == kron_all(factors) * x
+
+
+def test_kron_mul_both_loop_orders():
+    rng = random.Random(7)
+    eye = Matrix.identity(3)
+    # sparse factors against a dense x: the product's entries drive the loop
+    sparse = [eye, Matrix(2, 3, {(1, 2): Fraction(-2, 3)}), Matrix(3, 2, {(0, 1): 5})]
+    dense_x = random_matrix(rng, 18, 4)
+    assert len(kron_all(sparse).data) < len(dense_x.data)
+    assert kron_mul(sparse, dense_x) == kron_all(sparse) * dense_x
+    # dense factors against a sparse x: the rows of x drive the loop
+    dense = [random_matrix(rng, 3, 2), eye, random_matrix(rng, 2, 3)]
+    sparse_x = Matrix(18, 3, {(5, 0): Fraction(1, 2), (16, 2): -1, (11, 1): 3})
+    assert len(kron_all(dense).data) >= len(sparse_x.data)
+    assert kron_mul(dense, sparse_x) == kron_all(dense) * sparse_x
+
+
+def test_kron_mul_degenerate_shapes():
+    x = Matrix.from_rows([[1, 2], [3, 4]])
+    assert kron_mul([Matrix.identity(1), x, Matrix.from_rows([[5]])], x) == (x * x).scale(5)
+    assert kron_mul([Matrix.zero(3, 0)], Matrix.zero(0, 2)) == Matrix.zero(3, 2)
+    assert kron_mul([Matrix.zero(0, 2), x], Matrix.identity(4)) == Matrix.zero(0, 4)
+
+
+def test_kron_mul_rejects_bad_shape():
+    with pytest.raises(DimensionMismatch):
+        kron_mul([Matrix.identity(2), Matrix.identity(3)], Matrix.identity(5))
 
 
 # -- factor_through ----------------------------------------------------------------
