@@ -108,9 +108,7 @@ def _load_valid_coalgebra(path):
     c = _load_coalgebra(path)
     failures = validate_coalgebra(c).failures()
     if failures:
-        details = "; ".join(
-            "{} fails at ({},{}): {} != {}".format(f.axiom, *f.witness) for f in failures
-        )
+        details = "; ".join(str(f) for f in failures)
         raise CliError(f"{path}: not a coalgebra: {details}", 1)
     return c
 

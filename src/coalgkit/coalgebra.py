@@ -43,6 +43,12 @@ class AxiomCheck:
     ok: bool
     witness: Optional[tuple] = None  # (row, col, lhs_entry, rhs_entry)
 
+    def __str__(self):
+        if self.ok:
+            return f"{self.axiom}: ok"
+        i, j, a, b = self.witness
+        return f"{self.axiom}: FAIL at ({i},{j}): {a} != {b}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -56,14 +62,7 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
     def __str__(self):
-        lines = []
-        for c in self.checks:
-            if c.ok:
-                lines.append(f"  {c.axiom}: ok")
-            else:
-                i, j, a, b = c.witness
-                lines.append(f"  {c.axiom}: FAIL at ({i},{j}): {a} != {b}")
-        return "\n".join(lines)
+        return "\n".join(f"  {c}" for c in self.checks)
 
 
 def _check(axiom: str, lhs: Matrix, rhs: Matrix) -> AxiomCheck:

@@ -197,9 +197,13 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
+        # index only the rows of other that self reads: a small self against
+        # a large other is common (kron_mul of a one-entry probe, for example)
+        needed = {k for _, k in self.data}
         rows_of_other = {}
         for (k, j), v in other.data.items():
-            rows_of_other.setdefault(k, []).append((j, v))
+            if k in needed:
+                rows_of_other.setdefault(k, []).append((j, v))
         acc = {}
         for (i, k), a in self.data.items():
             hits = rows_of_other.get(k)
@@ -248,11 +252,10 @@ def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
 
     Equal to kron_all(factors) * x.  Row r of x is the tensor index
     (c1, ..., ck) read in mixed radix over the factors' column counts, left
-    factor most significant.  The loop is chosen from the nonzero counts:
-    when the product has fewer nonzeros than x, its entries are enumerated
-    against a row index of x; otherwise each nonzero row of x is expanded
-    through column ci of every factor Fi.  Either way only entries that
-    meet a nonzero of x are multiplied.
+    factor most significant, and each nonzero row of x is expanded through
+    column ci of every factor Fi, so only entries that meet a nonzero of x
+    are multiplied.  When the product has fewer nonzeros than x it is
+    cheaper to form it, and kron_all(factors) * x is returned instead.
     """
     factors = list(factors)
     rows = cols = nnz = 1
@@ -263,67 +266,42 @@ def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
     if cols != x.rows:
         shapes = " (x) ".join(f"{f.rows}x{f.cols}" for f in factors)
         raise DimensionMismatch(f"({shapes}) * {x.shape}")
-    # coefficients are kept as None where they are exactly one, which spares
-    # most multiplications on the 0/1 structure matrices
-    x_rows = {}
     if nnz < len(x.data):
-        entries = [(0, 0, None)]
-        for f in factors:
-            fr, fc = f.rows, f.cols
-            items = [(i, j, _unit_or(v)) for (i, j), v in f.data.items()]
-            entries = [
-                (r * fr + i, c * fc + j, v if a is None else a if v is None else a * v)
-                for r, c, a in entries
-                for i, j, v in items
-            ]
-        needed = {c for _, c, _ in entries}
-        for (k, j), v in x.data.items():
-            if k in needed:
-                x_rows.setdefault(k, []).append((j, v))
-        terms = ((r, a, x_rows[c]) for r, c, a in entries if c in x_rows)
-    else:
-        for (k, j), v in x.data.items():
-            x_rows.setdefault(k, []).append((j, v))
-        terms = _expand_rows(factors, x_rows)
+        return kron_all(factors) * x
 
-    acc = {}
-    for r, a, hits in terms:
-        for j, b in hits:
-            if a is not None:
-                b = a * b
-            ij = (r, j)
-            old = acc.get(ij)
-            acc[ij] = b if old is None else old + b
-    return Matrix(rows, x.cols, acc)  # drops the sums that cancelled to zero
-
-
-def _unit_or(v: Fraction) -> Optional[Fraction]:
-    return None if v == 1 else v
-
-
-def _expand_rows(factors: list, x_rows: dict):
-    """Yield (row, coefficient, hits) for the tensor-product column of each row of x."""
-    radices = [f.cols for f in reversed(factors)]
+    # coefficients equal to one are kept as None: the structure matrices are
+    # 0/1, and skipping those Fraction products halves truncation's time
     plan = []
     for f in factors:
         fcols = [[] for _ in range(f.cols)]
         for (i, j), v in f.data.items():
-            fcols[j].append((i, _unit_or(v)))
-        plan.append((f.rows, fcols))
+            fcols[j].append((i, None if v == 1 else v))
+        plan.append((f.rows, f.cols, fcols))
+    x_rows = {}
+    for (k, j), v in x.data.items():
+        x_rows.setdefault(k, []).append((j, v))
+
+    acc = {}
     for c, hits in x_rows.items():
         digits = []
-        for n in radices:
-            c, d = divmod(c, n)
+        for _, fc, _ in reversed(plan):
+            c, d = divmod(c, fc)
             digits.append(d)
         column = [(0, None)]
-        for (fr, fcols), d in zip(plan, reversed(digits)):
+        for (fr, _, fcols), d in zip(plan, reversed(digits)):
             column = [
                 (r * fr + i, v if a is None else a if v is None else a * v)
                 for r, a in column
                 for i, v in fcols[d]
             ]
         for r, a in column:
-            yield r, a, hits
+            for j, b in hits:
+                if a is not None:
+                    b = a * b
+                ij = (r, j)
+                old = acc.get(ij)
+                acc[ij] = b if old is None else old + b
+    return Matrix(rows, x.cols, acc)  # drops the sums that cancelled to zero
 
 
 # -- echelon machinery -----------------------------------------------------

@@ -285,7 +285,7 @@ def test_no_verdict_on_a_non_coalgebra(files, capsys, command):
     assert main([command, path]) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error:") and "coassociativity fails at" in out.err
+    assert out.err.startswith("error:") and "coassociativity: FAIL at" in out.err
 
 
 @pytest.mark.parametrize("dim", [True, 1.0, -1, "1"])

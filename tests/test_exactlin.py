@@ -162,7 +162,7 @@ def test_kron_mul_matches_kron_product(factors, data):
 def test_kron_mul_both_loop_orders():
     rng = random.Random(7)
     eye = Matrix.identity(3)
-    # sparse factors against a dense x: the product's entries drive the loop
+    # sparse factors against a dense x: the product is formed and multiplied
     sparse = [eye, Matrix(2, 3, {(1, 2): Fraction(-2, 3)}), Matrix(3, 2, {(0, 1): 5})]
     dense_x = random_matrix(rng, 18, 4)
     assert len(kron_all(sparse).data) < len(dense_x.data)
