@@ -103,13 +103,18 @@ def _load_coalgebra(path):
         raise CliError(f"{path}: {exc}", 2)
 
 
+def _require_axioms(path, kind, report):
+    """Exit 1 naming every failed axiom of a loaded structure."""
+    failures = report.failures()
+    if failures:
+        details = "; ".join(str(f) for f in failures)
+        raise CliError(f"{path}: not a {kind}: {details}", 1)
+
+
 def _load_valid_coalgebra(path):
     """A loaded coalgebra whose axioms hold; otherwise exit 1 naming the failure."""
     c = _load_coalgebra(path)
-    failures = validate_coalgebra(c).failures()
-    if failures:
-        details = "; ".join(str(f) for f in failures)
-        raise CliError(f"{path}: not a coalgebra: {details}", 1)
+    _require_axioms(path, "coalgebra", validate_coalgebra(c))
     return c
 
 
@@ -123,6 +128,13 @@ def _load_bicomodule(path):
         return serialize.bicomodule_from_obj(_load(path), base_dir=os.path.dirname(path))
     except (FormatError, DimensionMismatch) as exc:
         raise CliError(f"{path}: {exc}", 2)
+
+
+def _load_valid_bicomodule(path):
+    """A loaded bicomodule whose axioms hold; otherwise exit 1 naming the failure."""
+    m = _load_bicomodule(path)
+    _require_axioms(path, "bicomodule", validate_bicomodule(m))
+    return m
 
 
 def _load_matrix(path):
@@ -144,13 +156,16 @@ def cmd_validate(args, report):
     obj = _load(args.file)
     if not isinstance(obj, dict):
         raise CliError(f"{args.file}: not a structure object", 2)
-    if {"rho_l", "rho_r"} <= set(obj):
-        value = serialize.bicomodule_from_obj(obj, base_dir=os.path.dirname(args.file))
-        result = validate_bicomodule(value)
-    elif {"delta", "epsilon"} <= set(obj):
-        result = validate_coalgebra(serialize.coalgebra_from_obj(obj))
-    else:
-        raise CliError(f"{args.file}: neither a coalgebra nor a bicomodule", 2)
+    try:
+        if {"rho_l", "rho_r"} <= set(obj):
+            value = serialize.bicomodule_from_obj(obj, base_dir=os.path.dirname(args.file))
+            result = validate_bicomodule(value)
+        elif {"delta", "epsilon"} <= set(obj):
+            result = validate_coalgebra(serialize.coalgebra_from_obj(obj))
+        else:
+            raise CliError(f"{args.file}: neither a coalgebra nor a bicomodule", 2)
+    except (FormatError, DimensionMismatch) as exc:
+        raise CliError(f"{args.file}: {exc}", 2)
     report.witnesses["checks"] = [
         {"axiom": c.axiom, "ok": c.ok, "witness": [str(w) for w in (c.witness or [])]}
         for c in result.checks
@@ -259,8 +274,8 @@ def cmd_quiver(args, report):
 
 def cmd_cohomology(args, report):
     _require_nonnegative(args.degree, "--degree")
-    c = _load_coalgebra(args.coalgebra)
-    l = _load_bicomodule(args.bicomodule)
+    c = _load_valid_coalgebra(args.coalgebra)
+    l = _load_valid_bicomodule(args.bicomodule)
     if l.over != c:
         raise CliError("bicomodule is not over the given coalgebra", 2)
     result = cohomology(c, l, args.degree)
@@ -276,8 +291,8 @@ def cmd_cohomology(args, report):
 
 
 def cmd_extension(args, report):
-    c = _load_coalgebra(args.coalgebra)
-    l = _load_bicomodule(args.bicomodule)
+    c = _load_valid_coalgebra(args.coalgebra)
+    l = _load_valid_bicomodule(args.bicomodule)
     if l.over != c:
         raise CliError("bicomodule is not over the given coalgebra", 2)
     try:

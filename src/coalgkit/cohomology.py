@@ -30,7 +30,6 @@ from .exactlin import (
     kron_mul,
     solve,
     solve_matrix_equations,
-    subspace_sum,
 )
 
 
@@ -160,15 +159,42 @@ def cohomology(c: Coalgebra, l: Bicomodule, degree: int) -> CohomologyResult:
         boundaries = Subspace.zero(n**degree * m)
     else:
         boundaries = column_space(differential_matrix(c, l, degree - 1))
+    dim = cocycles.dim - boundaries.dim
     reps = []
-    span = boundaries
-    for col in cocycles.basis.columns():
-        grown = subspace_sum(span, Subspace.span(span.ambient_dim, [col]))
-        if grown.dim > span.dim:
-            vec = Matrix(n**degree * m, 1, {(k, 0): v for k, v in col.items()})
-            reps.append(Cochain(degree, _unvectorize(vec, n**degree, m)))
-            span = grown
-    return CohomologyResult(degree, cocycles.dim - boundaries.dim, tuple(reps))
+    if dim:
+        # one echelon pass: the boundary basis, then each cocycle in order
+        # that is not in the span of the boundaries and the earlier ones
+        echelon = {min(col): col for col in boundaries.basis.columns()}
+        for col in cocycles.basis.columns():
+            rest = _reduce(col, echelon)
+            if rest:
+                vec = Matrix(n**degree * m, 1, {(k, 0): v for k, v in col.items()})
+                reps.append(Cochain(degree, _unvectorize(vec, n**degree, m)))
+                if len(reps) == dim:
+                    break
+                lead = min(rest)
+                echelon[lead] = {i: v / rest[lead] for i, v in rest.items()}
+    return CohomologyResult(degree, dim, tuple(reps))
+
+
+def _reduce(vec: dict, echelon: dict) -> dict:
+    """The remainder of vec against echelon rows {lead: row}, each with
+    row[lead] = 1 and no entry before lead: empty exactly when vec lies in
+    their span."""
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        row = echelon.get(lead)
+        if row is None:
+            break
+        f = vec[lead]
+        for i, v in row.items():
+            s = vec.get(i, 0) - f * v
+            if s:
+                vec[i] = s
+            else:
+                del vec[i]
+    return vec
 
 
 # -- square-zero extensions ------------------------------------------------------

@@ -12,11 +12,30 @@ at the cost of the entries that actually meet a nonzero of x.
 Subspaces are kept in a canonical reduced column-echelon form, so that
 two equal subspaces have literally identical basis matrices and equality
 is a matrix comparison.
+
+kernel and Subspace.span share one elimination: a reduced row echelon form
+computed modulo the prime p = 2^61 - 1 on plain ints, whose entries are
+lifted to Q by rational reconstruction (numerators and denominators below
+2^30).  A lifted result is used only once it is certified exactly over Q:
+
+- kernel(f) reduces the rows of f with pivots on their highest index; each
+  free column q then gives e_q - sum_p R[p, q] e_p, already the canonical
+  basis.  Certificate: f K = 0, checked in integers.  The modular rank never
+  exceeds the rational one, so K spans the whole kernel.
+- Subspace.span(vs) reduces the vectors with pivots on their lowest index.
+  Certificate: every input v equals sum_i v[p_i] R_i.
+
+When p divides a denominator, an entry has no lift within the bound, or a
+certificate fails, the same elimination and read-off run over Q in Fraction
+arithmetic instead.  rank, column_space, cokernel, subspace_sum, subspace_intersect and
+preimage all go through kernel or span.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 Rational = Fraction
@@ -306,59 +325,192 @@ def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
 
 # -- echelon machinery -----------------------------------------------------
 
+_P = 2**61 - 1  # a Mersenne prime: residues are plain Python ints
+_BOUND = 2**30  # |numerator|, denominator < _BOUND: 2 * (_BOUND - 1)**2 < _P
 
-def _rref_rows(rows: list, ncols: int) -> list:
-    """Reduced row echelon form of a list of sparse row dicts.
 
-    Returns the nonzero rows with pivots normalized to one, pivot columns
-    cleared elsewhere, sorted by pivot column.  The result depends only on
-    the row space, which makes it a canonical form.
+def _rref(rows: list, highest: bool, p: Optional[int] = None) -> list:
+    """Reduced row echelon form of sparse row dicts, over Q or modulo p.
+
+    Pivots sit on the lowest index of each row, or on the highest when
+    `highest` is set.  Returns (pivot_col, row) pairs sorted by pivot column,
+    with pivots normalized to one and pivot columns cleared elsewhere; the
+    result depends only on the row space, which makes it a canonical form.
+
+    Rows wait in buckets by their current lead and are reduced only when
+    that lead comes up, against the sparsest row of the bucket.  Back
+    substitution then clears the other pivot columns from each row, starting
+    with the row whose entries hold no other pivot, so that each row is
+    reduced against finished rows only.
     """
-    work = [dict(r) for r in rows if r]
-    done = []  # (pivot_col, row)
-    while work:
-        lead = min(min(r) for r in work)
-        pivot = None
-        rest = []
-        for r in work:
-            if pivot is None and lead in r:
-                pivot = r
+    pick = max if highest else min
+    order = -1 if highest else 1
+    buckets = {}
+    heap = []
+
+    def file(r):
+        lead = pick(r)
+        bucket = buckets.get(lead)
+        if bucket is None:
+            buckets[lead] = [r]
+            heappush(heap, order * lead)
+        else:
+            bucket.append(r)
+
+    for r in rows:
+        if r:
+            file(dict(r))
+    pivots = {}
+    while heap:
+        lead = order * heappop(heap)
+        bucket = buckets.pop(lead)
+        bucket.sort(key=len)
+        pivot = bucket[0]
+        x = pivot[lead]
+        if x != 1:
+            if p is None:
+                pivot = {c: v / x for c, v in pivot.items()}
             else:
-                rest.append(r)
-        pv = pivot[lead]
-        if pv != 1:
-            pivot = {c: v / pv for c, v in pivot.items()}
-        new_work = []
-        for r in rest:
-            f = r.get(lead)
-            if f:
-                r = {
-                    c: v
-                    for c, v in (
-                        (c, r.get(c, _ZERO) - f * pivot.get(c, _ZERO))
-                        for c in set(r) | set(pivot)
-                    )
-                    if v
-                }
+                inv = pow(x, -1, p)
+                pivot = {c: v * inv % p for c, v in pivot.items()}
+        for r in bucket[1:]:
+            _subtract(r, r[lead], pivot, p)
             if r:
-                new_work.append(r)
-        for col, r in done:
-            f = r.get(lead)
-            if f:
-                upd = {
-                    c: v
-                    for c, v in (
-                        (c, r.get(c, _ZERO) - f * pivot.get(c, _ZERO))
-                        for c in set(r) | set(pivot)
-                    )
-                    if v
-                }
-                r.clear()
-                r.update(upd)
-        done.append((lead, pivot))
-        work = new_work
-    done.sort(key=lambda t: t[0])
-    return [r for _, r in done]
+                file(r)
+        pivots[lead] = pivot
+    for col in sorted(pivots, reverse=not highest):
+        row = pivots[col]
+        for c in [c for c in row if c != col and c in pivots]:
+            _subtract(row, row[c], pivots[c], p)
+    return sorted(pivots.items())
+
+
+def _subtract(row: dict, f, pivot: dict, p: Optional[int]):
+    """row -= f * pivot, modulo p unless p is None, in place, dropping the
+    entries that vanish."""
+    for c, v in pivot.items():
+        s = row.get(c, 0) - f * v
+        if p:
+            s %= p
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
+def _lift(u: int) -> Optional[Fraction]:
+    """The a/b = u mod _P with |a|, b < _BOUND, or None (Wang 1981)."""
+    if u < _BOUND:
+        return Fraction(u)
+    if _P - u < _BOUND:
+        return Fraction(u - _P)
+    r0, r1, t0, t1 = _P, u, 0, 1
+    while r1 >= _BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) >= _BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _lifted_rref(rows: list, highest: bool) -> Optional[list]:
+    """The RREF modulo _P lifted to Q, in the format of _rref.
+
+    None when _P divides a denominator or an entry has no lift within
+    _BOUND.  The lift is a candidate only: it is the RREF over Q exactly
+    when the caller's certificate holds.
+    """
+    residues = []
+    for r in rows:
+        res = {}
+        for c, v in r.items():
+            den = v.denominator
+            if den == 1:
+                u = v.numerator % _P
+            elif den % _P:
+                u = v.numerator * pow(den, -1, _P) % _P
+            else:
+                return None
+            if u:
+                res[c] = u
+        residues.append(res)
+    lifted = []
+    for col, row in _rref(residues, highest, _P):
+        out = {}
+        for c, u in row.items():
+            q = _lift(u)
+            if q is None:
+                return None
+            out[c] = q
+        lifted.append((col, out))
+    return lifted
+
+
+def _integral(vec: dict) -> tuple:
+    """(d, d * vec) for the least d > 0 making every entry an integer."""
+    d = 1
+    for v in vec.values():
+        d = lcm(d, v.denominator)
+    return d, {i: v.numerator * (d // v.denominator) for i, v in vec.items()}
+
+
+def _spans(rref: list, vectors: list) -> bool:
+    """Span certificate: every vector v equals sum_i v[p_i] R_i exactly.
+
+    The rows R_i are independent, and the modular rank never exceeds the
+    rational one, so this proves that they span exactly the vectors' span.
+    """
+    rows = {p: _integral(r) for p, r in rref}
+    for vec in vectors:
+        _, w = _integral(vec)
+        used = [(w[p], rows[p]) for p in w if p in rows]
+        scale = lcm(*(row[0] for _, row in used))
+        acc = {i: -scale * v for i, v in w.items()}
+        for coeff, (d, row) in used:
+            coeff *= scale // d
+            for i, v in row.items():
+                acc[i] = acc.get(i, 0) + coeff * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _null_vectors(rref: list, ncols: int) -> list:
+    """e_q - sum_p R[p, q] e_p for each free column q, in order of q.
+
+    With pivots on the highest index this is the canonical echelon basis of
+    the nullspace of the rows: each vector leads with its own free column.
+    """
+    pivots = {p for p, _ in rref}
+    vectors = {q: {q: _ONE} for q in range(ncols) if q not in pivots}
+    for p, row in rref:
+        for q, v in row.items():
+            if q != p:
+                vectors[q][p] = -v
+    return list(vectors.values())
+
+
+def _annihilates(rows: list, vectors: list) -> bool:
+    """Kernel certificate: f K = 0, in integers after clearing the denominators
+    of each row of f and each column of K.
+
+    The vectors are independent and number at least the nullity, because
+    the modular rank never exceeds the rational one; so this proves that
+    they span the kernel.
+    """
+    by_coord = {}
+    for j, vec in enumerate(vectors):
+        for k, v in _integral(vec)[1].items():
+            by_coord.setdefault(k, []).append((j, v))
+    for row in rows:
+        acc = {}
+        for k, a in _integral(row)[1].items():
+            for j, b in by_coord.get(k, ()):
+                acc[j] = acc.get(j, 0) + a * b
+        if any(acc.values()):
+            return False
+    return True
 
 
 class Subspace:
@@ -380,9 +532,10 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[dict]) -> "Subspace":
         exact = [{i: rational(v) for i, v in vec.items() if v} for vec in vectors]
-        rows = _rref_rows(exact, ambient_dim)
-        cols = [{i: val for i, val in r.items()} for r in rows]
-        return cls(ambient_dim, Matrix.from_columns(ambient_dim, cols))
+        rref = _lifted_rref(exact, highest=False)
+        if rref is None or not _spans(rref, exact):
+            rref = _rref(exact, highest=False)
+        return cls(ambient_dim, Matrix.from_columns(ambient_dim, [r for _, r in rref]))
 
     @classmethod
     def from_matrix(cls, m: Matrix) -> "Subspace":
@@ -428,46 +581,21 @@ class Subspace:
 # -- kernels, images, solving ----------------------------------------------
 
 
-def _kernel_columns(f: Matrix) -> list:
-    """Sparse column-elimination nullspace; returns coefficient dicts."""
-    cols = f.columns()
-    work = [(dict(c), {j: _ONE}) for j, c in enumerate(cols)]
-    kernel = []
-    for idx in range(len(work)):
-        vec, track = work[idx]
-        if not vec:
-            kernel.append(track)
-            continue
-        lead = min(vec)
-        pv = vec[lead]
-        for idx2 in range(idx + 1, len(work)):
-            vec2, track2 = work[idx2]
-            f2 = vec2.get(lead)
-            if not f2:
-                continue
-            r = f2 / pv
-            for i, v in vec.items():
-                s = vec2.get(i, _ZERO) - r * v
-                if s:
-                    vec2[i] = s
-                else:
-                    vec2.pop(i, None)
-            for j, v in track.items():
-                s = track2.get(j, _ZERO) - r * v
-                if s:
-                    track2[j] = s
-                else:
-                    track2.pop(j, None)
-    return kernel
-
-
 def kernel(f: Matrix) -> Subspace:
     """The nullspace {x : f x = 0} as a canonical subspace of the domain."""
-    return Subspace.span(f.cols, _kernel_columns(f))
+    by_row = {}
+    for (i, j), v in f.data.items():
+        by_row.setdefault(i, {})[j] = v
+    rows = list(by_row.values())
+    rref = _lifted_rref(rows, highest=True)
+    vectors = None if rref is None else _null_vectors(rref, f.cols)
+    if vectors is None or not _annihilates(rows, vectors):
+        vectors = _null_vectors(_rref(rows, highest=True), f.cols)
+    return Subspace(f.cols, Matrix.from_columns(f.cols, vectors))
 
 
 def rank(f: Matrix) -> int:
-    return f.cols - len(_kernel_columns(f))
+    return f.cols - kernel(f).dim
 
 
 def column_space(f: Matrix) -> Subspace:
@@ -489,8 +617,6 @@ def cokernel(f: Matrix):
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution x of a x = b (free variables set to zero), or None."""
-    from heapq import heappush, heappop
-
     if a.rows != b.rows:
         raise DimensionMismatch(f"{a.shape} x = {b.shape}")
     rows = {}
@@ -613,20 +739,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     for (i, j), v in b.basis.data.items():
         stacked[(i, ka + j)] = -v
     combined = Matrix(a.ambient_dim, ka + b.basis.cols, stacked)
-    vectors = []
-    for track in _kernel_columns(combined):
-        coeffs = {j: v for j, v in track.items() if j < ka}
-        vec = {}
-        for j, c in coeffs.items():
-            for i, v in a.basis.column(j).items():
-                s = vec.get(i, _ZERO) + c * v
-                if s:
-                    vec[i] = s
-                else:
-                    vec.pop(i, None)
-        if vec:
-            vectors.append(vec)
-    return Subspace.span(a.ambient_dim, vectors)
+    k = kernel(combined).basis
+    coeffs = Matrix(ka, k.cols, {(i, j): v for (i, j), v in k.data.items() if i < ka})
+    return column_space(a.basis * coeffs)
 
 
 def preimage(f: Matrix, s: Subspace) -> Subspace:

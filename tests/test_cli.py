@@ -6,8 +6,9 @@ import pytest
 
 from coalgkit import serialize
 from coalgkit.cli import main
-from coalgkit.coalgebra import comatrix, divided_power, grouplike
+from coalgkit.coalgebra import Coalgebra, comatrix, divided_power, grouplike
 from coalgkit.bicomodule import (
+    Bicomodule,
     BicomoduleMap,
     induced_on_cokernel,
     regular_bicomodule,
@@ -299,3 +300,45 @@ def test_dims_must_be_nonnegative_ints(files, dim):
     for key in ("rows", "cols"):
         with pytest.raises(serialize.FormatError):
             serialize.matrix_from_obj(dict(matrix, **{key: dim}))
+
+
+@pytest.mark.parametrize("field, value", [("dim", True), ("epsilon", {"rows": 1, "cols": 2, "entries": [[1, 1]]})])
+def test_validate_names_the_file_on_malformed_input(files, capsys, field, value):
+    _, write = files
+    path = write("bad.json", dict(serialize.coalgebra_to_obj(grouplike(1)), **{field: value}))
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("broken", ["coalgebra", "bicomodule"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--coalgebra", "{c}", "--bicomodule", "{m}", "--degree", "0"],
+        ["extension", "--coalgebra", "{c}", "--bicomodule", "{m}", "--cocycle", "{z}"],
+    ],
+)
+def test_no_answer_on_invalid_structures(files, capsys, argv, broken):
+    # over grouplike(1), a zero counit or zero coactions: both counit laws
+    # fail while coassociativity holds
+    _, write = files
+    c = grouplike(1)
+    m = regular_bicomodule(c)
+    if broken == "coalgebra":
+        c = Coalgebra(1, c.delta, Matrix.zero(1, 1))
+    else:
+        m = Bicomodule(c, 1, Matrix.zero(1, 1), Matrix.zero(1, 1))
+    paths = {
+        "c": write("c.json", serialize.coalgebra_to_obj(c)),
+        "m": write("m.json", serialize.bicomodule_to_obj(m)),
+        "z": write("z.json", serialize.cochain_to_obj(Cochain(2, Matrix.zero(1, 1)))),
+    }
+    bad = paths["c" if broken == "coalgebra" else "m"]
+    assert main(["validate", bad]) == 1
+    capsys.readouterr()
+    assert main([a.format(**paths) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {bad}: not a {broken}: left counit: FAIL at (0,0): 0 != 1; right counit")
+    assert out.err.count("\n") == 1

@@ -35,7 +35,7 @@ from coalgkit.cohomology import (
     trivialize_extension,
     _vectorize,
 )
-from coalgkit.exactlin import Matrix, kernel, kron
+from coalgkit.exactlin import Matrix, Subspace, column_space, kernel, kron, subspace_sum
 from coalgkit.quiver import arrow_bicomodule, loop_quiver
 
 from conftest import random_bicomodule_over, random_graded_bicomodule, random_matrix
@@ -269,6 +269,36 @@ def test_divided_power_not_coseparable():
         assert is_coseparable(c) is None
         # cross-check: some bicomodule has nonvanishing first cohomology
         assert cohomology(c, regular_bicomodule(c), 1).dim > 0
+
+
+def reference_representatives(c, l, degree):
+    """Cocycles in basis order that enlarge the span of the boundaries and
+    the earlier picks, one full re-echelon per cocycle."""
+    rows = c.dim**degree
+    span = Subspace.zero(rows * l.dim)
+    if degree:
+        span = column_space(differential_matrix(c, l, degree - 1))
+    reps = []
+    for col in kernel(differential_matrix(c, l, degree)).basis.columns():
+        grown = subspace_sum(span, Subspace.span(span.ambient_dim, [col]))
+        if grown.dim > span.dim:
+            value = Matrix(rows, l.dim, {divmod(k, l.dim): v for k, v in col.items()})
+            reps.append(Cochain(degree, value))
+            span = grown
+    return tuple(reps)
+
+
+def test_representatives_match_the_growing_span():
+    rng = random.Random(52)
+    cases = [(c, l, d) for c, l in random_pairs(rng, 8) for d in (0, 1, 2)]
+    cases += [(c, coker_delta(c), d) for c in (divided_power(1), divided_power(2)) for d in (1, 2)]
+    nonzero = 0
+    for c, l, degree in cases:
+        result = cohomology(c, l, degree)
+        assert result.representatives == reference_representatives(c, l, degree)
+        assert len(result.representatives) == result.dim
+        nonzero += result.dim > 0
+    assert nonzero >= 3
 
 
 def test_cohomology_vanishes_over_coseparable():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coalgkit import exactlin
 from coalgkit.exactlin import (
     DimensionMismatch,
     Matrix,
@@ -301,3 +302,185 @@ def test_split_kernel_decomposition():
         part1 = Subspace.from_matrix(kron(kernel(f1).basis, Matrix.identity(c2)))
         part2 = Subspace.from_matrix(kron(Matrix.identity(c1), kernel(f2).basis))
         assert lhs == subspace_sum(part1, part2)
+
+
+# -- the certified modular echelon against the exact oracle ------------------------
+
+
+def _kernel_columns(f: Matrix) -> list:
+    """Reference nullspace by exact sparse column elimination; returns
+    coefficient dicts, one per dependent column."""
+    cols = f.columns()
+    work = [(dict(c), {j: Fraction(1)}) for j, c in enumerate(cols)]
+    kernel = []
+    for idx in range(len(work)):
+        vec, track = work[idx]
+        if not vec:
+            kernel.append(track)
+            continue
+        lead = min(vec)
+        pv = vec[lead]
+        for idx2 in range(idx + 1, len(work)):
+            vec2, track2 = work[idx2]
+            f2 = vec2.get(lead)
+            if not f2:
+                continue
+            r = f2 / pv
+            for part, ppart in ((vec2, vec), (track2, track)):
+                for i, v in ppart.items():
+                    s = part.get(i, 0) - r * v
+                    if s:
+                        part[i] = s
+                    else:
+                        part.pop(i, None)
+    return kernel
+
+
+def _rref_rows(rows: list) -> list:
+    """Reference reduced row echelon form, pivots on the lowest index, by
+    exact elimination that rescans every row for the next lead."""
+    work = [dict(r) for r in rows if r]
+    done = []  # (pivot_col, row)
+    while work:
+        lead = min(min(r) for r in work)
+        pivot = next(r for r in work if lead in r)
+        pivot = {c: v / pivot[lead] for c, v in pivot.items()}
+        for r in work + [r for _, r in done]:
+            f = r.get(lead)
+            if f:
+                for c, v in pivot.items():
+                    r[c] = r.get(c, 0) - f * v
+                for c in [c for c, v in r.items() if not v]:
+                    del r[c]
+        done.append((lead, pivot))
+        work = [r for r in work if r]
+    return sorted(done, key=lambda t: t[0])
+
+
+def oracle_span(ambient_dim: int, vectors: list) -> Matrix:
+    """The canonical basis by exact elimination only."""
+    return Matrix.from_columns(ambient_dim, [r for _, r in _rref_rows(vectors)])
+
+
+def oracle_kernel(f: Matrix) -> Matrix:
+    return oracle_span(f.cols, _kernel_columns(f))
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Sparse rational matrices up to 6x6, zero-size shapes included, with
+    up to two rows and two columns appended as combinations of others."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_rational)
+    grid = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        c = draw(small_rational)
+        grid.append([x + c * y for x, y in zip(grid[a], grid[b])])
+    for _ in range(draw(st.integers(0, 2)) if cols else 0):
+        a, b = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        c = draw(small_rational)
+        for row in grid:
+            row.append(row[a] + c * row[b])
+    ncols = len(grid[0]) if grid else cols
+    data = {(i, j): v for i, row in enumerate(grid) for j, v in enumerate(row) if v}
+    return Matrix(len(grid), ncols, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_matrices())
+def test_kernel_and_rank_match_oracle(f):
+    assert kernel(f).basis == oracle_kernel(f)
+    assert rank(f) == f.cols - len(_kernel_columns(f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(deficient_matrices())
+def test_span_matches_exact_echelon(f):
+    assert Subspace.span(f.rows, f.columns()).basis == oracle_span(f.rows, f.columns())
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices())
+def test_cokernel_matches_oracle(f):
+    proj, q = cokernel(f)
+    assert proj == oracle_kernel(f.transpose()).transpose()
+    assert q == proj.rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(deficient_matrices(), st.data())
+def test_intersect_matches_oracle(f, data):
+    split = data.draw(st.integers(0, f.cols))
+    cols = f.columns()
+    a = Subspace(f.rows, oracle_span(f.rows, cols[:split]))
+    b = Subspace(f.rows, oracle_span(f.rows, cols[split:]))
+    # a x = b y: the a-part of each kernel vector of [A | -B] meets b
+    stacked = Matrix.from_columns(
+        f.rows, a.basis.columns() + [{i: -v for i, v in c.items()} for c in b.basis.columns()]
+    )
+    meet = []
+    for track in _kernel_columns(stacked):
+        vec = {}
+        for j, c in track.items():
+            if j < a.dim:
+                for i, v in a.basis.column(j).items():
+                    vec[i] = vec.get(i, 0) + c * v
+        meet.append(vec)
+    assert subspace_intersect(a, b).basis == oracle_span(f.rows, meet)
+
+
+# -- each fallback to the exact echelon, one per trigger ---------------------------
+
+
+P = 2**61 - 1
+
+
+@pytest.fixture()
+def exact_calls(monkeypatch):
+    """Records the pivot order of each exact (not modular) echelon."""
+    calls = []
+    rref = exactlin._rref
+
+    def spy(rows, highest, p=None):
+        if p is None:
+            calls.append(highest)
+        return rref(rows, highest, p)
+
+    monkeypatch.setattr(exactlin, "_rref", spy)
+    return calls
+
+
+def test_ordinary_input_stays_on_the_modular_path(exact_calls):
+    rng = random.Random(6)
+    for _ in range(40):
+        f = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        f = f * random_matrix(rng, f.cols, rng.randint(1, 7)).scale(Fraction(1, 2))
+        assert kernel(f).basis == oracle_kernel(f)
+        assert Subspace.from_matrix(f).basis == oracle_span(f.rows, f.columns())
+    assert exact_calls == []
+
+
+def test_fallback_when_the_prime_divides_a_denominator(exact_calls):
+    f = Matrix.from_rows([[1, Fraction(1, P)]])
+    assert kernel(f).basis == Matrix.from_rows([[1], [-P]])
+    assert Subspace.span(2, [{0: Fraction(1), 1: Fraction(1, P)}]).basis == Matrix.from_rows([[1], [Fraction(1, P)]])
+    assert exact_calls == [True, False]
+
+
+def test_fallback_when_entries_exceed_the_lift_bound(exact_calls):
+    big = 3**20  # above 2**30
+    assert exactlin._lifted_rref([{0: Fraction(1), 1: Fraction(big)}], highest=False) is None
+    f = Matrix.from_rows([[big, 1]])
+    assert kernel(f).basis == Matrix.from_rows([[1], [-big]])
+    assert Subspace.span(2, [{0: Fraction(1), 1: Fraction(big)}]).basis == Matrix.from_rows([[1], [big]])
+    assert exact_calls == [True, False]
+
+
+def test_fallback_on_an_unlucky_prime(exact_calls):
+    # rank 0 modulo P, rank 1 over Q: the certificates catch both
+    f = Matrix.from_rows([[P]])
+    assert kernel(f).basis == Matrix.zero(1, 0)
+    assert rank(f) == 1
+    assert Subspace.span(1, [{0: Fraction(P)}]).basis == Matrix.identity(1)
+    assert exact_calls == [True, True, False]
