@@ -184,9 +184,9 @@ def cmd_coradical(args, report):
 
 
 def cmd_cotensor(args, report):
-    c = _load_coalgebra(args.over)
-    left = _load_bicomodule(args.left)
-    right = _load_bicomodule(args.right)
+    c = _load_valid_coalgebra(args.over)
+    left = _load_valid_bicomodule(args.left)
+    right = _load_valid_bicomodule(args.right)
     if left.over != c or right.over != c:
         raise CliError("bicomodules are not over the given coalgebra", 2)
     result, chi = cotensor(left, right)
@@ -199,7 +199,7 @@ def cmd_cotensor(args, report):
 
 
 def cmd_wedge_filtration(args, report):
-    c = _load_coalgebra(args.amb)
+    c = _load_valid_coalgebra(args.amb)
     inc = _load_matrix(args.sub)
     if inc.rows != c.dim:
         raise CliError("subspace basis does not live in the coalgebra", 2)
@@ -219,8 +219,8 @@ def cmd_wedge_filtration(args, report):
 
 def cmd_build_t(args, report):
     _require_nonnegative(args.trunc, "--trunc")
-    c = _load_coalgebra(args.coalgebra)
-    m = _load_bicomodule(args.bicomodule)
+    c = _load_valid_coalgebra(args.coalgebra)
+    m = _load_valid_bicomodule(args.bicomodule)
     if m.over != c:
         raise CliError("bicomodule is not over the given coalgebra", 2)
     t = build_truncated(c, m, args.trunc)
@@ -344,7 +344,7 @@ def cmd_formally_smooth(args, report):
 
 
 def cmd_universal_map(args, report):
-    e = _load_coalgebra(args.E)
+    e = _load_valid_coalgebra(args.E)
     f_c_mat = _load_matrix(args.fC)
     f_m = _load_matrix(args.fM)
     try:

@@ -26,10 +26,9 @@ from .exactlin import (
     Subspace,
     column_space,
     kernel,
-    kron,
     kron_mul,
+    linear_system,
     solve,
-    solve_matrix_equations,
 )
 
 
@@ -95,41 +94,13 @@ def differential(c: Coalgebra, l: Bicomodule, f: Cochain) -> Cochain:
 
 def differential_matrix(c: Coalgebra, l: Bicomodule, degree: int) -> Matrix:
     """b^degree as a matrix on vectorized cochains (index = row * dim L + col)."""
-    n, m = c.dim, l.dim
-    rows_in = n**degree
-    rows_out = n ** (degree + 1)
-    data = {}
-
-    def add(out_row, out_col, in_row, in_col, v):
-        key = (out_row * m + out_col, in_row * m + in_col)
-        s = data.get(key, 0) + v
-        if s:
-            data[key] = s
-        else:
-            data.pop(key, None)
-
-    # face 0: F -> (F (x) C) rho_r ; coefficient of F[r, a] from rho_r entries
-    for (ra, cc), v in l.rho_r.data.items():
-        a, s = divmod(ra, n)
-        for r in range(rows_in):
-            add(r * n + s, cc, r, a, v)
-    # face degree+1: F -> (C (x) F) rho_l
-    sign_last = 1 if (degree + 1) % 2 == 0 else -1
-    for (ra, cc), v in l.rho_l.data.items():
-        s, a = divmod(ra, m)
-        for r in range(rows_in):
-            add(s * rows_in + r, cc, r, a, sign_last * v)
-    # inner faces: F -> (C^(n-i) (x) delta (x) C^(i-1)) F
+    n, eye = c.dim, Matrix.identity(c.dim)
+    faces = [(1, [], [None, eye], [l.rho_r]), ((-1) ** (degree + 1), [], [eye, None], [l.rho_l])]
     for i in range(1, degree + 1):
-        sign = 1 if i % 2 == 0 else -1
-        g = kron(
-            Matrix.identity(n ** (degree - i)),
-            kron(c.delta, Matrix.identity(n ** (i - 1))),
-        )
-        for (r_out, r_in), v in g.data.items():
-            for col in range(m):
-                add(r_out, col, r_in, col, sign * v)
-    return Matrix(rows_out * m, rows_in * m, data)
+        inner = [Matrix.identity(n ** (degree - i)), c.delta, Matrix.identity(n ** (i - 1))]
+        faces.append(((-1) ** i, inner, [None], []))
+    zero = Matrix.zero(n ** (degree + 1), l.dim)
+    return linear_system((n**degree, l.dim), [(faces, zero)])[0]
 
 
 def _vectorize(f: Matrix) -> Matrix:
@@ -298,24 +269,43 @@ def trivialize_extension(e: HochschildExtensionData) -> Optional[CoalgebraMap]:
 # -- decision procedures -----------------------------------------------------------
 
 
+def _solve_for(shape, constraints) -> Optional[Matrix]:
+    """An unknown matrix X satisfying the constraints (see linear_system), or None."""
+    system, rhs = linear_system(shape, constraints)
+    x = solve(system, rhs)
+    return None if x is None else _unvectorize(x, *shape)
+
+
+def _coseparable_constraints(c: Coalgebra) -> list:
+    """pi delta = id and delta pi = (C (x) pi)(delta (x) C) = (pi (x) C)(C (x) delta)."""
+    eye, zero = Matrix.identity(c.dim), Matrix.zero(c.dim**2, c.dim**2)
+    return [
+        ([(1, [], [None], [c.delta])], -eye),
+        ([(1, [c.delta], [None], []), (-1, [], [eye, None], [c.delta, eye])], zero),
+        ([(1, [c.delta], [None], []), (-1, [], [None, eye], [eye, c.delta])], zero),
+    ]
+
+
 def is_coseparable(c: Coalgebra) -> Optional[Matrix]:
     """A bicomodule retraction of the comultiplication, or None.
 
     The retraction pi : C (x) C -> C must satisfy pi delta = id and
     intertwine the outer coactions of C (x) C with the comultiplication.
     """
-    n = c.dim
-    eye = Matrix.identity(n)
-    outer = tensor_square_bicomodule(c)
+    return _solve_for((c.dim, c.dim**2), _coseparable_constraints(c))
 
-    def residual(pi: Matrix):
-        return [
-            pi * c.delta - eye,
-            c.delta * pi - kron_mul([eye, pi], outer.rho_l),
-            c.delta * pi - kron_mul([pi, eye], outer.rho_r),
-        ]
 
-    return solve_matrix_equations((n, n * n), residual)
+def _injective_constraints(m: Bicomodule) -> list:
+    """r j = id, rho_l r = (C (x) r)(delta (x) M (x) C) and
+    rho_r r = (r (x) C)(C (x) M (x) delta), for j = (C (x) rho_r) rho_l."""
+    n, md, delta = m.over.dim, m.dim, m.over.delta
+    eye, zero = Matrix.identity(n), Matrix.zero(n * md, n * md * n)
+    j = kron_mul([eye, m.rho_r], m.rho_l)
+    return [
+        ([(1, [], [None], [j])], -Matrix.identity(md)),
+        ([(1, [m.rho_l], [None], []), (-1, [], [eye, None], [delta, Matrix.identity(md * n)])], zero),
+        ([(1, [m.rho_r], [None], []), (-1, [], [None, eye], [Matrix.identity(n * md), delta])], zero),
+    ]
 
 
 def is_I_injective(m: Bicomodule) -> Optional[Matrix]:
@@ -326,21 +316,7 @@ def is_I_injective(m: Bicomodule) -> Optional[Matrix]:
     exactly when m is a direct summand of the relatively injective
     C (x) M (x) C, i.e. when m is itself relatively injective.
     """
-    c = m.over
-    n, md = c.dim, m.dim
-    eye_c = Matrix.identity(n)
-    j = kron_mul([eye_c, m.rho_r], m.rho_l)
-    big_rho_l = kron(c.delta, Matrix.identity(md * n))
-    big_rho_r = kron(Matrix.identity(n * md), c.delta)
-
-    def residual(r: Matrix):
-        return [
-            r * j - Matrix.identity(md),
-            m.rho_l * r - kron_mul([eye_c, r], big_rho_l),
-            m.rho_r * r - kron_mul([r, eye_c], big_rho_r),
-        ]
-
-    return solve_matrix_equations((md, n * md * n), residual)
+    return _solve_for((m.dim, m.over.dim**2 * m.dim), _injective_constraints(m))
 
 
 @dataclass(frozen=True)

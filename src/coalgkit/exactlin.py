@@ -7,7 +7,10 @@ serialization) are those of an ordinary dense rows x cols matrix.
 
 Tensor products are applied without being formed: kron_mul(factors, x)
 returns (F1 (x) ... (x) Fk) . x, the same matrix as kron_all(factors) * x,
-at the cost of the entries that actually meet a nonzero of x.
+at the cost of the entries that actually meet a nonzero of x.  In the same
+way linear_system assembles the linear system of matrix constraints
+sum coef . L (F1 (x) ... (x) X (x) ... (x) Fk) R + const = 0 in an unknown
+X, reading each coefficient off the factors' nonzeros.
 
 Subspaces are kept in a canonical reduced column-echelon form, so that
 two equal subspaces have literally identical basis matrices and equality
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 Rational = Fraction
@@ -217,7 +220,7 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} * {other.shape}")
         # index only the rows of other that self reads: a small self against
-        # a large other is common (kron_mul of a one-entry probe, for example)
+        # a large other is common
         needed = {k for _, k in self.data}
         rows_of_other = {}
         for (k, j), v in other.data.items():
@@ -266,15 +269,49 @@ def kron_all(factors: Iterable[Matrix]) -> Matrix:
     return out
 
 
+def _tensor_columns(factors: list):
+    """The function c -> column c of kron_all(factors).
+
+    c is read as digits (d_1, ..., d_k) in mixed radix over the factors'
+    column counts, left factor most significant, and the column is the tensor
+    product of column d_i of every factor F_i: a list of (row, value) pairs
+    over its nonzeros.  Values equal to one are kept as None: the structure
+    matrices are 0/1, and skipping those Fraction products halves
+    truncation's time.
+    """
+    plan = []
+    for f in factors:
+        fcols = [[] for _ in range(f.cols)]
+        for (i, j), v in f.data.items():
+            fcols[j].append((i, None if v == 1 else v))
+        plan.append((f.rows, fcols))
+    radices = [f.cols for f in reversed(factors)]
+
+    def column(c):
+        digits = []
+        for radix in radices:
+            c, d = divmod(c, radix)
+            digits.append(d)
+        out = [(0, None)]
+        for (fr, fcols), d in zip(plan, reversed(digits)):
+            out = [
+                (r * fr + i, v if a is None else a if v is None else a * v)
+                for r, a in out
+                for i, v in fcols[d]
+            ]
+        return out
+
+    return column
+
+
 def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
     """(F1 (x) ... (x) Fk) . x without forming the tensor product.
 
-    Equal to kron_all(factors) * x.  Row r of x is the tensor index
-    (c1, ..., ck) read in mixed radix over the factors' column counts, left
-    factor most significant, and each nonzero row of x is expanded through
-    column ci of every factor Fi, so only entries that meet a nonzero of x
-    are multiplied.  When the product has fewer nonzeros than x it is
-    cheaper to form it, and kron_all(factors) * x is returned instead.
+    Equal to kron_all(factors) * x.  Each nonzero row r of x is expanded
+    through column r of the product (see _tensor_columns), so only entries
+    that meet a nonzero of x are multiplied.  When the product has fewer
+    nonzeros than x it is cheaper to form it, and kron_all(factors) * x is
+    returned instead.
     """
     factors = list(factors)
     rows = cols = nnz = 1
@@ -288,32 +325,13 @@ def kron_mul(factors: Iterable[Matrix], x: Matrix) -> Matrix:
     if nnz < len(x.data):
         return kron_all(factors) * x
 
-    # coefficients equal to one are kept as None: the structure matrices are
-    # 0/1, and skipping those Fraction products halves truncation's time
-    plan = []
-    for f in factors:
-        fcols = [[] for _ in range(f.cols)]
-        for (i, j), v in f.data.items():
-            fcols[j].append((i, None if v == 1 else v))
-        plan.append((f.rows, f.cols, fcols))
+    column = _tensor_columns(factors)
     x_rows = {}
     for (k, j), v in x.data.items():
         x_rows.setdefault(k, []).append((j, v))
-
     acc = {}
     for c, hits in x_rows.items():
-        digits = []
-        for _, fc, _ in reversed(plan):
-            c, d = divmod(c, fc)
-            digits.append(d)
-        column = [(0, None)]
-        for (fr, _, fcols), d in zip(plan, reversed(digits)):
-            column = [
-                (r * fr + i, v if a is None else a if v is None else a * v)
-                for r, a in column
-                for i, v in fcols[d]
-            ]
-        for r, a in column:
+        for r, a in column(c):
             for j, b in hits:
                 if a is not None:
                     b = a * b
@@ -758,51 +776,56 @@ def subspace_equal(a: Subspace, b: Subspace) -> bool:
     return a == b
 
 
-# -- generic linear feasibility ----------------------------------------------
+# -- linear matrix constraints -----------------------------------------------
 
 
-def solve_matrix_equations(shape, residual_fn) -> Optional[Matrix]:
-    """Find X of the given shape making residual_fn(X) all zero matrices.
+def linear_system(shape, constraints) -> tuple:
+    """(system, rhs) with system . vec(X) = rhs exactly when X, a p x q
+    matrix, meets every constraint; vec is row-major, so column a * q + b of
+    the system is X[a, b].
 
-    residual_fn must be affine in X and return a list of Matrix values.
-    Returns a witness X, or None when the system is infeasible.  Used for
-    retraction/splitting searches where the constraints are naturally
-    written as matrix identities.
+    A constraint (terms, const) states sum(terms) + const = 0, and its
+    entry (i, j) is row off + i * const.cols + j of system and rhs, with off
+    the size of the constraints before it.  A term (coef, left, middle, right)
+    stands for coef . L (F1 (x) ... (x) X (x) ... (x) Fk) R, where L and R
+    are the tensor products of the lists left and right (an empty list is an
+    identity) and middle holds None in the slot of X.  No term is evaluated:
+    for each nonzero of the Fi and each X[a, b], the coefficients are the
+    products of the matching column of L and row of R (_tensor_columns).
     """
-    rows_u, cols_u = shape
-    nunk = rows_u * cols_u
-    base = residual_fn(Matrix.zero(rows_u, cols_u))
-    offsets = []
-    total = 0
-    for m in base:
-        offsets.append(total)
-        total += m.rows * m.cols
-
-    def vectorize(mats):
-        out = {}
-        for m, off in zip(mats, offsets):
-            for (i, j), v in m.data.items():
-                out[off + i * m.cols + j] = v
-        return out
-
-    const = vectorize(base)
-    coeff = {}
-    for u in range(nunk):
-        probe = Matrix(rows_u, cols_u, {(u // cols_u, u % cols_u): _ONE})
-        res = vectorize(residual_fn(probe))
-        col = {}
-        for k in set(res) | set(const):
-            v = res.get(k, _ZERO) - const.get(k, _ZERO)
-            if v:
-                col[k] = v
-        for k, v in col.items():
-            coeff[(k, u)] = v
-    system = Matrix(total, nunk, coeff)
-    rhs = Matrix(total, 1, {(k, 0): -v for k, v in const.items()})
-    x = solve(system, rhs)
-    if x is None:
-        return None
-    data = {}
-    for (u, _), v in x.data.items():
-        data[(u // cols_u, u % cols_u)] = v
-    return Matrix(rows_u, cols_u, data)
+    p, q = shape
+    acc, rhs, off = {}, {}, 0
+    for terms, const in constraints:
+        for (i, j), v in const.data.items():
+            rhs[(off + i * const.cols + j, 0)] = -v
+        for coef, left, middle, right in terms:
+            slot = middle.index(None)
+            before, after = kron_all(middle[:slot]), kron_all(middle[slot + 1 :])
+            mid = (before.rows * p * after.rows, before.cols * q * after.cols)
+            left = left or [Matrix.identity(mid[0])]
+            right = [f.transpose() for f in right or [Matrix.identity(mid[1])]]
+            inner = (prod(f.cols for f in left), prod(f.cols for f in right))
+            outer = (prod(f.rows for f in left), prod(f.rows for f in right))
+            if inner != mid or outer != const.shape:
+                raise DimensionMismatch(f"term {outer[0]}x{inner[0]} . {mid} . {inner[1]}x{outer[1]}")
+            column, row = _tensor_columns(left), _tensor_columns(right)
+            for (r1, s1), f1 in before.data.items():
+                for (r3, s3), f3 in after.data.items():
+                    f = coef * f1 * f3
+                    lines = [(b, row((s1 * q + b) * after.cols + s3)) for b in range(q)]
+                    lines = [(b, line) for b, line in lines if line]
+                    for a in range(p):
+                        scaled = [
+                            (off + i * const.cols, f if v is None else f * v)
+                            for i, v in column((r1 * p + a) * after.rows + r3)
+                        ]
+                        for b, line in lines:
+                            u = a * q + b
+                            for base, y in scaled:
+                                for j, v in line:
+                                    key = (base + j, u)
+                                    v = y if v is None else y * v
+                                    old = acc.get(key)
+                                    acc[key] = v if old is None else old + v
+        off += const.rows * const.cols
+    return Matrix(off, p * q, acc), Matrix(off, 1, rhs)

@@ -101,6 +101,56 @@ def random_bicomodule_over(rng: random.Random, c: Coalgebra, inner: int = 1) -> 
     return conjugated_bicomodule(rng, outer_bicomodule(c, inner))
 
 
+def permuted_coalgebra(c: Coalgebra, perm: list) -> Coalgebra:
+    """The same coalgebra with basis vector i renamed perm[i]."""
+    p = Matrix(c.dim, c.dim, {(perm[i], i): 1 for i in range(c.dim)})
+    pt = p.transpose()
+    return Coalgebra(c.dim, kron(p, p) * c.delta * pt, c.epsilon * pt)
+
+
+def probe_system(shape, residual_fn) -> tuple:
+    """Reference assembly of linear matrix constraints, by probing.
+
+    residual_fn must be affine in X and return a list of matrices.  Calls it
+    once at X = 0 and once per unknown at X = E_ab, and returns (A, b) with
+    A vec(X) = b exactly when every residual vanishes: vec is row-major, and
+    the residuals are vectorized row-major one after the other.
+    """
+    rows_u, cols_u = shape
+    base = residual_fn(Matrix.zero(rows_u, cols_u))
+    offsets = []
+    total = 0
+    for m in base:
+        offsets.append(total)
+        total += m.rows * m.cols
+
+    def vectorize(mats):
+        out = {}
+        for m, off in zip(mats, offsets):
+            for (i, j), v in m.data.items():
+                out[off + i * m.cols + j] = v
+        return out
+
+    const = vectorize(base)
+    coeff = {}
+    for u in range(rows_u * cols_u):
+        res = vectorize(residual_fn(Matrix(rows_u, cols_u, {divmod(u, cols_u): 1})))
+        for k in set(res) | set(const):
+            v = res.get(k, 0) - const.get(k, 0)
+            if v:
+                coeff[(k, u)] = v
+    system = Matrix(total, rows_u * cols_u, coeff)
+    return system, Matrix(total, 1, {(k, 0): -v for k, v in const.items()})
+
+
+def solve_matrix_equations(shape, residual_fn):
+    """A witness X making every residual vanish, or None, from probe_system."""
+    x = solve(*probe_system(shape, residual_fn))
+    if x is None:
+        return None
+    return Matrix(*shape, {divmod(u, shape[1]): v for (u, _), v in x.data.items()})
+
+
 NAMED_QUIVERS = {
     "loop": loop_quiver(),
     "kronecker": kronecker_quiver(),

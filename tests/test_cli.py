@@ -15,6 +15,7 @@ from coalgkit.bicomodule import (
     tensor_square_bicomodule,
 )
 from coalgkit.cohomology import Cochain, cohomology, differential
+from coalgkit.cotensor import build_truncated
 from coalgkit.exactlin import Matrix
 from coalgkit.quiver import arrow_bicomodule, loop_quiver, vertex_coalgebra
 
@@ -311,29 +312,27 @@ def test_validate_names_the_file_on_malformed_input(files, capsys, field, value)
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("broken", ["coalgebra", "bicomodule"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["cohomology", "--coalgebra", "{c}", "--bicomodule", "{m}", "--degree", "0"],
-        ["extension", "--coalgebra", "{c}", "--bicomodule", "{m}", "--cocycle", "{z}"],
-    ],
-)
-def test_no_answer_on_invalid_structures(files, capsys, argv, broken):
-    # over grouplike(1), a zero counit or zero coactions: both counit laws
-    # fail while coassociativity holds
-    _, write = files
+def _invalid_structure_files(write, broken):
+    """Files over grouplike(1) in which either the coalgebra has a zero counit
+    or the bicomodule zero coactions: both counit laws fail while
+    coassociativity holds."""
     c = grouplike(1)
     m = regular_bicomodule(c)
+    t = build_truncated(c, m, 1)
     if broken == "coalgebra":
         c = Coalgebra(1, c.delta, Matrix.zero(1, 1))
     else:
         m = Bicomodule(c, 1, Matrix.zero(1, 1), Matrix.zero(1, 1))
-    paths = {
+    return {
         "c": write("c.json", serialize.coalgebra_to_obj(c)),
         "m": write("m.json", serialize.bicomodule_to_obj(m)),
         "z": write("z.json", serialize.cochain_to_obj(Cochain(2, Matrix.zero(1, 1)))),
+        "s": write("s.json", serialize.matrix_to_obj(Matrix.identity(1))),
+        "t": write("t.json", serialize.truncated_to_obj(t)),
     }
+
+
+def _assert_no_answer(capsys, paths, argv, broken):
     bad = paths["c" if broken == "coalgebra" else "m"]
     assert main(["validate", bad]) == 1
     capsys.readouterr()
@@ -342,3 +341,30 @@ def test_no_answer_on_invalid_structures(files, capsys, argv, broken):
     assert out.out == ""
     assert out.err.startswith(f"error: {bad}: not a {broken}: left counit: FAIL at (0,0): 0 != 1; right counit")
     assert out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("broken", ["coalgebra", "bicomodule"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--coalgebra", "{c}", "--bicomodule", "{m}", "--degree", "0"],
+        ["extension", "--coalgebra", "{c}", "--bicomodule", "{m}", "--cocycle", "{z}"],
+        ["cotensor", "--over", "{c}", "--left", "{m}", "--right", "{m}"],
+        ["build-T", "--coalgebra", "{c}", "--bicomodule", "{m}", "--trunc", "2"],
+    ],
+)
+def test_no_answer_on_invalid_structures(files, capsys, argv, broken):
+    _, write = files
+    _assert_no_answer(capsys, _invalid_structure_files(write, broken), argv, broken)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wedge-filtration", "--sub", "{s}", "--amb", "{c}"],
+        ["universal-map", "--E", "{c}", "--fC", "{s}", "--fM", "{s}", "--T", "{t}"],
+    ],
+)
+def test_no_answer_on_an_invalid_coalgebra(files, capsys, argv):
+    _, write = files
+    _assert_no_answer(capsys, _invalid_structure_files(write, "coalgebra"), argv, "coalgebra")

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalgkit.bicomodule import (
     Bicomodule,
@@ -33,12 +35,22 @@ from coalgkit.cohomology import (
     is_formally_smooth,
     is_I_injective,
     trivialize_extension,
+    _coseparable_constraints,
+    _injective_constraints,
     _vectorize,
 )
-from coalgkit.exactlin import Matrix, Subspace, column_space, kernel, kron, subspace_sum
+from coalgkit.exactlin import Matrix, Subspace, column_space, kernel, kron, linear_system, subspace_sum
 from coalgkit.quiver import arrow_bicomodule, loop_quiver
 
-from conftest import random_bicomodule_over, random_graded_bicomodule, random_matrix
+from conftest import (
+    conjugated_bicomodule,
+    permuted_coalgebra,
+    probe_system,
+    random_bicomodule_over,
+    random_graded_bicomodule,
+    random_matrix,
+    solve_matrix_equations,
+)
 
 
 def trivial_pair():
@@ -342,9 +354,103 @@ def test_everything_injective_over_grouplike():
             verify_injectivity_witness(m, r)
 
 
-def test_cokernel_of_delta_not_injective_for_divided_power():
-    c = divided_power(1)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cokernel_of_delta_not_injective_for_divided_power(k):
+    c = divided_power(k)
     assert is_I_injective(coker_delta(c)) is None
+    result = is_formally_smooth(c)
+    assert (result.smooth, result.witness, result.h2_dim) == (False, None, k)
+
+
+# -- the assembled constraints against the probing oracle ----------------------------
+
+
+def coseparable_residual(c):
+    """The residuals of is_coseparable, as products and Kronecker products."""
+    eye = Matrix.identity(c.dim)
+    outer = tensor_square_bicomodule(c)
+    return lambda pi: [
+        pi * c.delta - eye,
+        c.delta * pi - kron(eye, pi) * outer.rho_l,
+        c.delta * pi - kron(pi, eye) * outer.rho_r,
+    ]
+
+
+def injective_residual(m):
+    """The residuals of is_I_injective, with C (x) M (x) C's coactions formed."""
+    c = m.over
+    eye = Matrix.identity(c.dim)
+    j = kron(eye, m.rho_r) * m.rho_l
+    big_rho_l = kron(c.delta, Matrix.identity(m.dim * c.dim))
+    big_rho_r = kron(Matrix.identity(c.dim * m.dim), c.delta)
+    return lambda r: [
+        r * j - Matrix.identity(m.dim),
+        m.rho_l * r - kron(eye, r) * big_rho_l,
+        m.rho_r * r - kron(r, eye) * big_rho_r,
+    ]
+
+
+SMALL_COALGEBRAS = [
+    grouplike(1), grouplike(2), grouplike(3), comatrix(2), divided_power(1), divided_power(2), divided_power(3)
+]
+
+
+@st.composite
+def permuted_coalgebras(draw, coalgebras=SMALL_COALGEBRAS):
+    c = draw(st.sampled_from(coalgebras))
+    return permuted_coalgebra(c, draw(st.permutations(range(c.dim))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(permuted_coalgebras(SMALL_COALGEBRAS + [comatrix(3)]))
+def test_coseparable_system_matches_probing(c):
+    shape = (c.dim, c.dim**2)
+    residual = coseparable_residual(c)
+    assert linear_system(shape, _coseparable_constraints(c)) == probe_system(shape, residual)
+    assert is_coseparable(c) == solve_matrix_equations(shape, residual)
+
+
+@st.composite
+def injective_cases(draw):
+    """A random graded bicomodule over grouplike(n), re-based or not, or
+    Coker(delta) of a permuted coalgebra."""
+    if draw(st.booleans()):
+        return coker_delta(draw(permuted_coalgebras([c for c in SMALL_COALGEBRAS if c.dim <= 3])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = random_graded_bicomodule(rng, grouplike(draw(st.integers(1, 3))), draw(st.integers(1, 4)))
+    return conjugated_bicomodule(rng, m) if draw(st.booleans()) else m
+
+
+def assert_injective_system_matches_probing(m):
+    shape = (m.dim, m.over.dim**2 * m.dim)
+    residual = injective_residual(m)
+    assert linear_system(shape, _injective_constraints(m)) == probe_system(shape, residual)
+    assert is_I_injective(m) == solve_matrix_equations(shape, residual)
+
+
+@settings(max_examples=25, deadline=None)
+@given(injective_cases())
+def test_injective_system_matches_probing(m):
+    assert_injective_system_matches_probing(m)
+
+
+def test_injective_system_matches_probing_on_larger_cokernels():
+    # 12-dim Coker(delta): a smooth and a non-smooth case of the decide benchmark
+    rng = random.Random(35)
+    for c in (comatrix(2), divided_power(3)):
+        perm = list(range(c.dim))
+        rng.shuffle(perm)
+        assert_injective_system_matches_probing(coker_delta(permuted_coalgebra(c, perm)))
+
+
+def test_differential_matrix_matches_probing():
+    rng = random.Random(34)
+    for c, l in random_pairs(rng, 6) + [(divided_power(2), coker_delta(divided_power(2)))]:
+        for deg in (0, 1, 2, 3):
+            probed, _ = probe_system(
+                (c.dim**deg, l.dim), lambda x: [differential(c, l, Cochain(deg, x)).value]
+            )
+            assert differential_matrix(c, l, deg) == probed
 
 
 # -- formal smoothness -------------------------------------------------------------------

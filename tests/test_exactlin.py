@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from coalgkit.exactlin import (
     kron,
     kron_all,
     kron_mul,
+    linear_system,
     preimage,
     rank,
     solve,
@@ -27,7 +29,7 @@ from coalgkit.exactlin import (
     subspace_sum,
 )
 
-from conftest import random_matrix, random_split_surjection
+from conftest import probe_system, random_matrix, random_split_surjection
 
 
 def entries(m: Matrix):
@@ -185,6 +187,82 @@ def test_kron_mul_degenerate_shapes():
 def test_kron_mul_rejects_bad_shape():
     with pytest.raises(DimensionMismatch):
         kron_mul([Matrix.identity(2), Matrix.identity(3)], Matrix.identity(5))
+
+
+# -- linear matrix constraints -------------------------------------------------------
+
+
+@st.composite
+def factor_lists(draw, rows, cols):
+    """Zero to two factors whose tensor product is rows x cols; no factor
+    stands for the identity, so that case needs rows == cols."""
+    splits = [
+        ((r1, rows // r1), (c1, cols // c1))
+        for r1 in range(1, rows + 1) if rows % r1 == 0
+        for c1 in range(1, cols + 1) if cols % c1 == 0
+    ]
+    count = draw(st.integers(0 if rows == cols else 1, 2 if splits else 1))
+    if count == 2:
+        shapes = list(zip(*draw(st.sampled_from(splits))))
+    else:
+        shapes = [(rows, cols)][:count]
+    return [
+        Matrix.identity(r) if r == c and draw(st.booleans()) else draw(sparse_matrices(r, c))
+        for r, c in shapes
+    ]
+
+
+@st.composite
+def constraint_systems(draw):
+    """(shape, constraints) with one to three constraints of one to three terms."""
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        const = draw(sparse_matrices())
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            before = draw(st.lists(tensor_factors, max_size=1))
+            after = draw(st.lists(tensor_factors, max_size=1))
+            mid_rows = prod(f.rows for f in before + after) * p
+            mid_cols = prod(f.cols for f in before + after) * q
+            left = draw(factor_lists(const.rows, mid_rows))
+            right = draw(factor_lists(mid_cols, const.cols))
+            coef = draw(st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+            terms.append((coef, left, before + [None] + after, right))
+        constraints.append((terms, const))
+    return (p, q), constraints
+
+
+def evaluate(constraints, x):
+    """Each constraint's sum(terms) + const at X = x, term by term."""
+    out = []
+    for terms, const in constraints:
+        total = const
+        for coef, left, middle, right in terms:
+            mid = kron_all([x if f is None else f for f in middle])
+            left = kron_all(left) if left else Matrix.identity(mid.rows)
+            right = kron_all(right) if right else Matrix.identity(mid.cols)
+            total = total + (left * mid * right).scale(coef)
+        out.append(total)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(constraint_systems())
+def test_linear_system_matches_probing(case):
+    shape, constraints = case
+    assembled = linear_system(shape, constraints)
+    assert assembled == probe_system(shape, lambda x: evaluate(constraints, x))
+
+
+def test_linear_system_rejects_bad_shapes():
+    eye = Matrix.identity(2)
+    with pytest.raises(DimensionMismatch):  # L . X does not compose
+        linear_system((2, 2), [([(1, [Matrix.identity(3)], [None], [])], Matrix.zero(3, 2))])
+    with pytest.raises(DimensionMismatch):  # (X (x) I) . R has the wrong columns
+        linear_system((2, 2), [([(1, [], [None, eye], [eye])], Matrix.zero(4, 4))])
+    with pytest.raises(DimensionMismatch):  # the term is 2x2, the constant 2x3
+        linear_system((2, 2), [([(1, [], [None], [])], Matrix.zero(2, 3))])
 
 
 # -- factor_through ----------------------------------------------------------------
