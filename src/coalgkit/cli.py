@@ -3,7 +3,10 @@
 Every command reads JSON files in the formats of the owning modules,
 prints a report (text by default, machine-readable with --format json)
 and uses the exit code contract: 0 for success/yes, 1 for a well-posed
-no or failed check, 2 for malformed input.
+no or failed check, 2 for malformed input, 3 for an internal failure (out
+of memory, or an internal consistency check that failed).  Malformed input
+and internal failures are reported as one "error: ..." line on stderr, not
+as a traceback.
 """
 
 from __future__ import annotations
@@ -456,6 +459,12 @@ def build_parser():
     return parser
 
 
+def _one_line(what: str, exc: BaseException) -> str:
+    """error: what: the exception's message with its lines joined."""
+    detail = "; ".join(line.strip() for line in str(exc).splitlines() if line.strip())
+    return f"error: {what}: {detail}" if detail else f"error: {what}"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -469,6 +478,12 @@ def main(argv=None) -> int:
     except (CoalgebraMismatch, DimensionMismatch, NotSubcoalgebra, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(_one_line("out of memory", exc), file=sys.stderr)
+        return 3
+    except AssertionError as exc:  # InternalCheckFailed and every internal check
+        print(_one_line("internal check failed", exc), file=sys.stderr)
+        return 3
     if args.format == "json":
         sys.stdout.write(serialize.dumps(report.to_obj()))
     else:

@@ -16,10 +16,11 @@ Subspaces are kept in a canonical reduced column-echelon form, so that
 two equal subspaces have literally identical basis matrices and equality
 is a matrix comparison.
 
-kernel and Subspace.span share one elimination: a reduced row echelon form
-computed modulo the prime p = 2^61 - 1 on plain ints, whose entries are
-lifted to Q by rational reconstruction (numerators and denominators below
-2^30).  A lifted result is used only once it is certified exactly over Q:
+kernel, Subspace.span and solve share one elimination, _rref: a sparse
+reduced row echelon form over Q, or modulo the prime p = 2^61 - 1 on plain
+ints.  kernel and span first run it modulo p and lift the entries to Q by
+rational reconstruction (numerators and denominators below 2^30).  A lifted
+result is used only once it is certified exactly over Q:
 
 - kernel(f) reduces the rows of f with pivots on their highest index; each
   free column q then gives e_q - sum_p R[p, q] e_p, already the canonical
@@ -30,8 +31,14 @@ lifted to Q by rational reconstruction (numerators and denominators below
 
 When p divides a denominator, an entry has no lift within the bound, or a
 certificate fails, the same elimination and read-off run over Q in Fraction
-arithmetic instead.  rank, column_space, cokernel, subspace_sum, subspace_intersect and
-preimage all go through kernel or span.
+arithmetic instead.  rank, column_space, cokernel, subspace_sum,
+subspace_intersect and preimage all go through kernel or span.
+
+solve(a, b) reduces the rows of [a | b] over Q only, with pivots on their
+lowest index, and reads the solution off the pivot rows.  A modular pass
+with a span certificate on the augmented rows measured slower on the 0/1
+systems of factor_through and heavier in memory on those of the decision
+procedures.
 """
 
 from __future__ import annotations
@@ -354,6 +361,8 @@ def _rref(rows: list, highest: bool, p: Optional[int] = None) -> list:
     `highest` is set.  Returns (pivot_col, row) pairs sorted by pivot column,
     with pivots normalized to one and pivot columns cleared elsewhere; the
     result depends only on the row space, which makes it a canonical form.
+    The given row dicts are reduced in place: callers pass rows they built
+    for this elimination and do not read them afterwards.
 
     Rows wait in buckets by their current lead and are reduced only when
     that lead comes up, against the sparsest row of the bucket.  Back
@@ -377,7 +386,7 @@ def _rref(rows: list, highest: bool, p: Optional[int] = None) -> list:
 
     for r in rows:
         if r:
-            file(dict(r))
+            file(r)
     pivots = {}
     while heap:
         lead = order * heappop(heap)
@@ -634,88 +643,24 @@ def cokernel(f: Matrix):
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
-    """One exact solution x of a x = b (free variables set to zero), or None."""
+    """One exact solution x of a x = b (free variables set to zero), or None.
+
+    Reads x off the reduced echelon form of [a | b] over Q, with column j of
+    b at index a.cols + j: the system is inconsistent when a pivot lies in b,
+    and otherwise x[p, j] is entry a.cols + j of pivot row p.
+    """
     if a.rows != b.rows:
         raise DimensionMismatch(f"{a.shape} x = {b.shape}")
+    n = a.cols
     rows = {}
     for (i, j), v in a.data.items():
-        rows.setdefault(i, ({}, {}))[0][j] = v
+        rows.setdefault(i, {})[j] = v
     for (i, j), v in b.data.items():
-        rows.setdefault(i, ({}, {}))[1][j] = v
-
-    buckets = {}
-    heap = []
-
-    def register(w):
-        lead = min(w[0])
-        if lead in buckets:
-            buckets[lead].append(w)
-        else:
-            buckets[lead] = [w]
-            heappush(heap, lead)
+        rows.setdefault(i, {})[n + j] = v
+    rref = _rref(list(rows.values()), highest=False)
+    if rref and rref[-1][0] >= n:
         return None
-
-    for i in sorted(rows):
-        w = rows[i]
-        if w[0]:
-            register(w)
-        elif w[1]:
-            return None
-
-    pivots = []  # (col, lhs_row, rhs_row)
-    while heap:
-        lead = heappop(heap)
-        bucket = buckets.pop(lead, None)
-        if not bucket:
-            continue
-        pivot = bucket[0]
-        plhs, prhs = pivot
-        pv = plhs[lead]
-        for w in bucket[1:]:
-            lhs, rhs = w
-            f = lhs.get(lead)
-            if f:
-                r = f / pv
-                for part, ppart in ((lhs, plhs), (rhs, prhs)):
-                    for c, v in ppart.items():
-                        s = part.get(c, _ZERO) - r * v
-                        if s:
-                            part[c] = s
-                        else:
-                            part.pop(c, None)
-            if lhs:
-                register(w)
-            elif rhs:
-                return None
-        pivots.append((lead, plhs, prhs))
-
-    xby = {}  # solved variable -> {rhs column -> value}
-    for lead, plhs, prhs in reversed(pivots):
-        pv = plhs[lead]
-        cols = set(prhs)
-        for j in plhs:
-            if j != lead and j in xby:
-                cols.update(xby[j])
-        sol = {}
-        for col in cols:
-            acc = prhs.get(col, _ZERO)
-            for j, v in plhs.items():
-                if j == lead:
-                    continue
-                prev = xby.get(j)
-                if prev:
-                    xv = prev.get(col)
-                    if xv:
-                        acc -= v * xv
-            if acc:
-                sol[col] = acc / pv
-        if sol:
-            xby[lead] = sol
-    data = {}
-    for var, sol in xby.items():
-        for col, v in sol.items():
-            data[(var, col)] = v
-    return Matrix(a.cols, b.cols, data)
+    return Matrix(n, b.cols, {(p, c - n): v for p, row in rref for c, v in row.items() if c >= n})
 
 
 def factor_through(chi: Matrix, g: Matrix) -> Matrix:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coalgkit import serialize
+from coalgkit import cli, serialize
 from coalgkit.cli import main
 from coalgkit.coalgebra import Coalgebra, comatrix, divided_power, grouplike
 from coalgkit.bicomodule import (
@@ -14,7 +14,7 @@ from coalgkit.bicomodule import (
     regular_bicomodule,
     tensor_square_bicomodule,
 )
-from coalgkit.cohomology import Cochain, cohomology, differential
+from coalgkit.cohomology import Cochain, InternalCheckFailed, cohomology, differential
 from coalgkit.cotensor import build_truncated
 from coalgkit.exactlin import Matrix
 from coalgkit.quiver import arrow_bicomodule, loop_quiver, vertex_coalgebra
@@ -368,3 +368,36 @@ def test_no_answer_on_invalid_structures(files, capsys, argv, broken):
 def test_no_answer_on_an_invalid_coalgebra(files, capsys, argv):
     _, write = files
     _assert_no_answer(capsys, _invalid_structure_files(write, "coalgebra"), argv, "coalgebra")
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "command, call, fn",
+    [
+        ("formally-smooth", "is_formally_smooth", _raise(MemoryError())),
+        # a witness too large to densify: Matrix.to_rows raises MemoryError
+        ("coseparable", "is_coseparable", lambda c: Matrix(3000, 3000, {(0, 0): 1})),
+        (
+            "formally-smooth",
+            "is_formally_smooth",
+            _raise(InternalCheckFailed("twisted structure fails axioms:\nleft counit: FAIL")),
+        ),
+        ("coseparable", "is_coseparable", _raise(AssertionError("cotensor product fails axioms"))),
+    ],
+    ids=["memory-error", "densify-refusal", "internal-check", "assertion"],
+)
+def test_internal_failure_is_one_line_exit_3(files, capsys, monkeypatch, command, call, fn):
+    _, write = files
+    monkeypatch.setattr(cli, call, fn)
+    path = write("g2.json", serialize.coalgebra_to_obj(grouplike(2)))
+    assert main([command, path]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err

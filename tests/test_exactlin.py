@@ -29,7 +29,7 @@ from coalgkit.exactlin import (
     subspace_sum,
 )
 
-from conftest import probe_system, random_matrix, random_split_surjection
+from conftest import oracle_solve, probe_system, random_matrix, random_split_surjection
 
 
 def entries(m: Matrix):
@@ -506,6 +506,39 @@ def test_intersect_matches_oracle(f, data):
                     vec[i] = vec.get(i, 0) + c * v
         meet.append(vec)
     assert subspace_intersect(a, b).basis == oracle_span(f.rows, meet)
+
+
+@st.composite
+def linear_systems(draw):
+    """(a, b, inconsistent_row): a from deficient_matrices, b with 0-3
+    columns, either a x for a drawn x or drawn freely so that some systems
+    are inconsistent; inconsistent_row when a last row was appended that is
+    zero in a and nonzero in b."""
+    a = draw(deficient_matrices())
+    k = draw(st.integers(0, 3))
+    entry = st.one_of(st.just(Fraction(0)), small_rational)
+    if draw(st.booleans()):
+        b = a * Matrix(a.cols, k, {(i, j): draw(entry) for i in range(a.cols) for j in range(k)})
+    else:
+        b = Matrix(a.rows, k, {(i, j): draw(entry) for i in range(a.rows) for j in range(k)})
+    inconsistent_row = k > 0 and draw(st.booleans())
+    if inconsistent_row:
+        nonzero = {(a.rows, draw(st.integers(0, k - 1))): draw(small_rational.filter(bool))}
+        a = Matrix(a.rows + 1, a.cols, a.data)
+        b = Matrix(b.rows + 1, k, b.data | nonzero)
+    return a, b, inconsistent_row
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_matches_oracle(system):
+    a, b, inconsistent_row = system
+    x = solve(a, b)
+    assert x == oracle_solve(a, b)
+    if inconsistent_row:
+        assert x is None
+    if x is not None:
+        assert a * x == b
 
 
 # -- each fallback to the exact echelon, one per trigger ---------------------------
