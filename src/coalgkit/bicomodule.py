@@ -15,6 +15,7 @@ from .coalgebra import (
     NotBicomoduleMap,
     ValidationReport,
     _check,
+    verify,
 )
 from .exactlin import (
     DimensionMismatch,
@@ -133,9 +134,7 @@ def cotensor(v: Bicomodule, w: Bicomodule):
     rho_l = factor_through(kron(eye_c, chi), kron_mul([v.rho_l, eye_w], chi))
     rho_r = factor_through(kron(chi, eye_c), kron_mul([eye_v, w.rho_r], chi))
     result = Bicomodule(c, chi.cols, rho_l, rho_r)
-    report = validate_bicomodule(result)
-    if not report.passed:
-        raise AssertionError(f"cotensor product fails bicomodule axioms:\n{report}")
+    verify("cotensor product", validate_bicomodule(result))
     return result, chi
 
 
@@ -184,9 +183,7 @@ def induced_on_kernel(f: BicomoduleMap):
     rho_l = factor_through(kron(eye_c, inc), f.source.rho_l * inc)
     rho_r = factor_through(kron(inc, eye_c), f.source.rho_r * inc)
     ker = Bicomodule(c, inc.cols, rho_l, rho_r)
-    report = validate_bicomodule(ker)
-    if not report.passed:
-        raise AssertionError(f"kernel bicomodule fails axioms:\n{report}")
+    verify("kernel bicomodule", validate_bicomodule(ker))
     return ker, BicomoduleMap(ker, f.source, inc)
 
 
@@ -198,21 +195,16 @@ def induced_on_cokernel(f: BicomoduleMap):
     eye_c = Matrix.identity(c.dim)
     proj, qdim = cokernel(f.map)
     section = solve(proj, Matrix.identity(qdim))
-    if section is None:
-        raise AssertionError("cokernel projection has no right inverse")
+    verify("cokernel projection has a right inverse", section is not None)
     pushed_l = kron_mul([eye_c, proj], f.target.rho_l)
     pushed_r = kron_mul([proj, eye_c], f.target.rho_r)
     rho_l = pushed_l * section
     rho_r = pushed_r * section
     # the coactions must descend, not just factor through the chosen section
-    if rho_l * proj != pushed_l:
-        raise AssertionError("left coaction does not descend to the cokernel")
-    if rho_r * proj != pushed_r:
-        raise AssertionError("right coaction does not descend to the cokernel")
+    verify("left coaction descends to the cokernel", rho_l * proj, pushed_l)
+    verify("right coaction descends to the cokernel", rho_r * proj, pushed_r)
     cok = Bicomodule(c, qdim, rho_l, rho_r)
-    report = validate_bicomodule(cok)
-    if not report.passed:
-        raise AssertionError(f"cokernel bicomodule fails axioms:\n{report}")
+    verify("cokernel bicomodule", validate_bicomodule(cok))
     return cok, BicomoduleMap(f.target, cok, proj)
 
 

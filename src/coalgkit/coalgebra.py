@@ -37,6 +37,10 @@ class NotBicomoduleMap(ValueError):
     """The matrix does not intertwine the coactions."""
 
 
+class InternalCheckFailed(AssertionError):
+    """A mathematically guaranteed verification failed; convention bug."""
+
+
 @dataclass(frozen=True)
 class AxiomCheck:
     axiom: str
@@ -66,8 +70,27 @@ class ValidationReport:
 
 
 def _check(axiom: str, lhs: Matrix, rhs: Matrix) -> AxiomCheck:
-    diff = lhs.first_difference(rhs)
+    # equality is one dict comparison; the witness search sorts every key
+    diff = None if lhs == rhs else lhs.first_difference(rhs)
     return AxiomCheck(axiom, diff is None, diff)
+
+
+def verify(what: str, lhs, rhs=None) -> None:
+    """Pass silently when lhs is a passed ValidationReport, True, or a Matrix
+    equal to rhs; otherwise raise InternalCheckFailed naming what failed and
+    its witness."""
+    if isinstance(lhs, ValidationReport):
+        if not lhs.passed:
+            failed = "\n".join(f"  {c}" for c in lhs.failures())
+            raise InternalCheckFailed(f"{what} fails axioms:\n{failed}")
+    elif isinstance(lhs, Matrix):
+        if lhs.shape != rhs.shape:
+            raise InternalCheckFailed(f"{what}: FAIL shape {lhs.shape} != {rhs.shape}")
+        check = _check(what, lhs, rhs)
+        if not check.ok:
+            raise InternalCheckFailed(str(check))
+    elif lhs is not True:
+        raise InternalCheckFailed(f"{what}: FAIL")
 
 
 @dataclass(frozen=True)
@@ -180,55 +203,34 @@ def iterated_delta(c: Coalgebra, n: int) -> Matrix:
     return out
 
 
-# -- the dual algebra and the coradical ----------------------------------------
-
-
-@dataclass(frozen=True)
-class DualAlgebra:
-    dim: int
-    mult: Matrix  # n x n^2
-    unit: Matrix  # n x 1
-
-
-def dual_algebra(c: Coalgebra) -> DualAlgebra:
-    """Transpose the structure maps under (C (x) C)* = C* (x) C*; checked associative."""
-    n = c.dim
-    mult = c.delta.transpose()
-    unit = c.epsilon.transpose()
-    eye = Matrix.identity(n)
-    if mult * kron(mult, eye) != mult * kron(eye, mult):
-        raise AssertionError("dual multiplication is not associative")
-    if mult * kron(unit, eye) != eye or mult * kron(eye, unit) != eye:
-        raise AssertionError("dual unit law fails")
-    return DualAlgebra(n, mult, unit)
+# -- the coradical ----------------------------------------------------------------
 
 
 def coradical(c: Coalgebra) -> Subspace:
     """Largest cosemisimple subcoalgebra, as the annihilator of rad(C*).
 
     Over a characteristic-zero field the Jacobson radical of the
-    finite-dimensional dual algebra is the radical of the trace form
+    finite-dimensional dual algebra C* is the radical of the trace form
     tau(a, b) = trace of left multiplication by ab, so the coradical is the
-    orthogonal of that radical under the evaluation pairing.
+    orthogonal of that radical under the evaluation pairing.  In the dual
+    basis, left multiplication by e_k has matrix L_k[a, j] = delta[(k, j), a],
+    so the trace functional is t_k = sum_a delta[(k, a), a].  C* is
+    associative because C is coassociative, so L is a representation,
+    L_ab = L_a L_b, and tau(a, b) = trace(L_a L_b) = t(ab); on basis vectors
+    tau(i, j) = sum_k delta[(i, j), k] t_k.
     """
-    alg = dual_algebra(c)
+    verify("coradical input", validate_coalgebra(c))
     n = c.dim
-    left_mult = []
-    for k in range(n):
-        data = {}
-        for (a, col), v in alg.mult.data.items():
-            i, j = divmod(col, n)
-            if i == k:
-                data[(a, j)] = data.get((a, j), 0) + v
-        left_mult.append(Matrix(n, n, data))
+    trace = [0] * n
+    for (row, a), v in c.delta.data.items():
+        k, b = divmod(row, n)
+        if a == b:
+            trace[k] += v
     gram = {}
-    for i in range(n):
-        for j in range(i, n):
-            prod = left_mult[i] * left_mult[j]
-            tr = sum(prod[(a, a)] for a in range(n))
-            if tr:
-                gram[(i, j)] = tr
-                gram[(j, i)] = tr
+    for (row, k), v in c.delta.data.items():
+        if trace[k]:
+            ij = divmod(row, n)
+            gram[ij] = gram.get(ij, 0) + v * trace[k]
     radical = kernel(Matrix(n, n, gram))
     if radical.dim == 0:
         return Subspace.full(n)
@@ -286,9 +288,7 @@ def kernel_subcoalgebra(c: Coalgebra, f: Matrix, target) -> tuple:
     inc = ker.basis
     delta_d = factor_through(kron(inc, inc), c.delta * inc)
     sub = Coalgebra(ker.dim, delta_d, c.epsilon * inc)
-    report = validate_coalgebra(sub)
-    if not report.passed:
-        raise AssertionError(f"kernel coalgebra fails axioms:\n{report}")
+    verify("kernel coalgebra", validate_coalgebra(sub))
     return sub, CoalgebraMap(sub, c, inc)
 
 
@@ -356,4 +356,4 @@ def wedge_filtration(c: Coalgebra, sub: Subcoalgebra) -> WedgeFiltration:
         chain.append(term)
         prev = term
     # dimensions strictly increase until stabilization, so this is unreachable
-    raise AssertionError("wedge filtration failed to stabilize")
+    verify("wedge filtration stabilizes", False)

@@ -19,7 +19,14 @@ from .bicomodule import (
     regular_bicomodule,
     tensor_square_bicomodule,
 )
-from .coalgebra import Coalgebra, CoalgebraMap, NotCoalgebraMap, validate_coalgebra
+from .coalgebra import (
+    Coalgebra,
+    CoalgebraMap,
+    InternalCheckFailed,  # noqa: F401  (kept importable from this module)
+    NotCoalgebraMap,
+    validate_coalgebra,
+    verify,
+)
 from .exactlin import (
     DimensionMismatch,
     Matrix,
@@ -36,10 +43,6 @@ class NotACocycle(ValueError):
     def __init__(self, witness: Matrix):
         super().__init__("the square of the differential witness is nonzero")
         self.witness = witness
-
-
-class InternalCheckFailed(AssertionError):
-    """A mathematically guaranteed verification failed; convention bug."""
 
 
 @dataclass(frozen=True)
@@ -218,18 +221,12 @@ def hochschild_extension(c: Coalgebra, l: Bicomodule, zeta: Cochain) -> Hochschi
         raise NotACocycle(obstruction.value)
     delta, eps, i_c, i_l, p_c, p_l = extension_structure(c, l, zeta.value)
     total = Coalgebra(c.dim + l.dim, delta, eps)
-    report = validate_coalgebra(total)
-    if not report.passed:
-        raise InternalCheckFailed(f"twisted structure fails axioms:\n{report}")
+    verify("twisted structure", validate_coalgebra(total))
     sigma = CoalgebraMap(c, total, i_c)
-    if p_c * i_c != Matrix.identity(c.dim):
-        raise InternalCheckFailed("retraction does not split the inclusion")
-    if not kron_mul([p_l, p_l], delta).is_zero():
-        raise InternalCheckFailed("base does not wedge to the whole extension")
-    if l.rho_l * p_l != kron_mul([p_c, p_l], delta):
-        raise InternalCheckFailed("left coaction is not recovered")
-    if l.rho_r * p_l != kron_mul([p_l, p_c], delta):
-        raise InternalCheckFailed("right coaction is not recovered")
+    verify("retraction splits the inclusion", p_c * i_c, Matrix.identity(c.dim))
+    verify("base wedges to the whole extension", kron_mul([p_l, p_l], delta).is_zero())
+    verify("left coaction is recovered", l.rho_l * p_l, kron_mul([p_c, p_l], delta))
+    verify("right coaction is recovered", l.rho_r * p_l, kron_mul([p_l, p_c], delta))
     return HochschildExtensionData(
         base=c,
         cok=l,
@@ -263,7 +260,7 @@ def trivialize_extension(e: HochschildExtensionData) -> Optional[CoalgebraMap]:
             continue
         if candidate * e.sigma.map == Matrix.identity(c.dim):
             return ret
-    raise InternalCheckFailed("coboundary witness produced no valid retraction")
+    verify("coboundary witness produces a valid retraction", False)
 
 
 # -- decision procedures -----------------------------------------------------------
@@ -343,9 +340,9 @@ def is_formally_smooth(c: Coalgebra) -> SmoothnessResult:
     cok, _ = induced_on_cokernel(delta_map)
     witness = is_I_injective(cok)
     h2 = cohomology(c, cok, 2)
-    if (witness is not None) != (h2.dim == 0):
-        raise InternalCheckFailed(
-            f"injectivity of the cokernel ({witness is not None}) and "
-            f"H^2 vanishing (dim={h2.dim}) disagree"
-        )
+    verify(
+        f"injectivity of the cokernel ({witness is not None}) and "
+        f"H^2 vanishing (dim={h2.dim}) agree",
+        (witness is not None) == (h2.dim == 0),
+    )
     return SmoothnessResult(witness is not None, witness, h2.dim, cok)

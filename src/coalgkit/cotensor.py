@@ -26,6 +26,7 @@ from .coalgebra import (
     iterated_delta,
     subcoalgebra_on,
     validate_coalgebra,
+    verify,
     wedge_power,
 )
 from .exactlin import (
@@ -138,9 +139,7 @@ def build_truncated(c: Coalgebra, m: Bicomodule, trunc: int) -> TruncatedCotenso
     delta = Matrix(total_dim * total_dim, total_dim, delta_data)
     epsilon = c.epsilon * projections[0]
     total = Coalgebra(total_dim, delta, epsilon)
-    report = validate_coalgebra(total)
-    if not report.passed:
-        raise AssertionError(f"assembled coalgebra fails axioms:\n{report}")
+    verify("assembled coalgebra", validate_coalgebra(total))
     return TruncatedCotensorCoalgebra(
         base=c,
         input=m,
@@ -190,9 +189,7 @@ def _graded_bicomodule(slices, n: int, partial: Coalgebra) -> Bicomodule:
     rho_l = kron_mul([inc0, Matrix.identity(s.dim)], s.bicomodule.rho_l)
     rho_r = kron_mul([Matrix.identity(s.dim), inc0], s.bicomodule.rho_r)
     bic = Bicomodule(partial, s.dim, rho_l, rho_r)
-    report = validate_bicomodule(bic)
-    if not report.passed:
-        raise AssertionError(f"graded bicomodule fails axioms:\n{report}")
+    verify("graded bicomodule", validate_bicomodule(bic))
     return bic
 
 
@@ -207,8 +204,7 @@ def graded_cocycle(c: Coalgebra, m: Bicomodule, n: int) -> GradedCocycle:
     value = _zeta_value(slices, n, partial.dim)
     bic = _graded_bicomodule(slices, n, partial)
     closure = differential(partial, bic, Cochain(2, value))
-    if not closure.value.is_zero():
-        raise AssertionError("graded cocycle is not closed")
+    verify("graded cocycle is closed", closure.value.is_zero())
     return GradedCocycle(n, value, partial, bic)
 
 
@@ -386,12 +382,12 @@ def universal_map(
             over = _map_power(f_m, e_tower, m_slices, k) * _corestricted_power(e, e_tower, k)
             if over.is_zero():
                 raise TruncationTooSmall(k - 1)
-        raise AssertionError("components never vanish; the coradical filtration is broken")
+        verify("components vanish above some degree (the coradical filtration)", False)
 
     total = Matrix.zero(t.total.dim, e.dim)
     for k, comp in enumerate(components):
         total = total + t.inclusions[k] * comp
     result = CoalgebraMap(e, t.total, total)
-    if t.projections[0] * total != f_c.map or t.projections[1] * total != f_m:
-        raise AssertionError("universal map lost its defining components")
+    verify("universal map keeps its degree-0 component", t.projections[0] * total, f_c.map)
+    verify("universal map keeps its degree-1 component", t.projections[1] * total, f_m)
     return result

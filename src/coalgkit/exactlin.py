@@ -135,10 +135,6 @@ class Matrix:
                     data[(i, j)] = rational(v)
         return cls(rows, len(cols), data)
 
-    @classmethod
-    def basis_vector(cls, n: int, i: int) -> "Matrix":
-        return cls(n, 1, {(i, 0): _ONE})
-
     # -- basic queries -------------------------------------------------
 
     def __getitem__(self, ij) -> Fraction:
@@ -713,12 +709,6 @@ def preimage(f: Matrix, s: Subspace) -> Subspace:
         raise DimensionMismatch("codomain of f must be the ambient space of s")
     proj, _ = cokernel(s.basis)
     return kernel(proj * f)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return a == b
 
 
 # -- linear matrix constraints -----------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coalgebra import Coalgebra, grouplike
+from .coalgebra import Coalgebra, grouplike, verify
 from .bicomodule import Bicomodule, validate_bicomodule
 from .exactlin import Matrix, factor_through, kron_mul
 
@@ -118,9 +118,7 @@ def arrow_bicomodule(q: Quiver) -> Bicomodule:
     rho_l = Matrix(n * m, m, {(t * m + j, j): 1 for j, (_, _, t) in enumerate(q.arrows)})
     rho_r = Matrix(m * n, m, {(j * n + s, j): 1 for j, (_, s, _) in enumerate(q.arrows)})
     bic = Bicomodule(c, m, rho_l, rho_r)
-    report = validate_bicomodule(bic)
-    if not report.passed:
-        raise AssertionError(f"arrow bicomodule fails axioms:\n{report}")
+    verify("arrow bicomodule", validate_bicomodule(bic))
     return bic
 
 

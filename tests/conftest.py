@@ -15,7 +15,7 @@ import pytest
 
 from coalgkit.bicomodule import Bicomodule, outer_bicomodule
 from coalgkit.coalgebra import Coalgebra, comatrix, divided_power, grouplike
-from coalgkit.exactlin import DimensionMismatch, Matrix, kron
+from coalgkit.exactlin import DimensionMismatch, Matrix, Subspace, kernel, kron
 from coalgkit.quiver import (
     Quiver,
     arrow_bicomodule,
@@ -177,11 +177,42 @@ def random_bicomodule_over(rng: random.Random, c: Coalgebra, inner: int = 1) -> 
     return conjugated_bicomodule(rng, outer_bicomodule(c, inner))
 
 
+def rebased_coalgebra(c: Coalgebra, u: Matrix, inv: Matrix) -> Coalgebra:
+    """The same coalgebra in new coordinates u x, for u invertible with inverse inv."""
+    return Coalgebra(c.dim, kron(u, u) * c.delta * inv, c.epsilon * inv)
+
+
 def permuted_coalgebra(c: Coalgebra, perm: list) -> Coalgebra:
     """The same coalgebra with basis vector i renamed perm[i]."""
     p = Matrix(c.dim, c.dim, {(perm[i], i): 1 for i in range(c.dim)})
-    pt = p.transpose()
-    return Coalgebra(c.dim, kron(p, p) * c.delta * pt, c.epsilon * pt)
+    return rebased_coalgebra(c, p, p.transpose())
+
+
+def oracle_coradical(c: Coalgebra) -> Subspace:
+    """Reference coradical by the trace form of the dual algebra C*: forms
+    every left multiplication L_k[a, j] = delta[(k, j), a], multiplies them
+    out pairwise for tau(i, j) = trace(L_i L_j), and returns the annihilator
+    of the radical of tau."""
+    n = c.dim
+    left_mult = []
+    for k in range(n):
+        data = {}
+        for (row, a), v in c.delta.data.items():
+            i, j = divmod(row, n)
+            if i == k:
+                data[(a, j)] = v
+        left_mult.append(Matrix(n, n, data))
+    gram = {}
+    for i in range(n):
+        for j in range(i, n):
+            prod = left_mult[i] * left_mult[j]
+            tr = sum(prod[(a, a)] for a in range(n))
+            if tr:
+                gram[(i, j)] = gram[(j, i)] = tr
+    radical = kernel(Matrix(n, n, gram))
+    if radical.dim == 0:
+        return Subspace.full(n)
+    return kernel(radical.basis.transpose())
 
 
 def probe_system(shape, residual_fn) -> tuple:

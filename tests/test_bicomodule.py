@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from coalgkit import InternalCheckFailed as ExportedFailure
+from coalgkit import bicomodule
 from coalgkit.bicomodule import (
     Bicomodule,
     BicomoduleMap,
@@ -21,7 +23,14 @@ from coalgkit.bicomodule import (
     unit_right,
     validate_bicomodule,
 )
-from coalgkit.coalgebra import divided_power, grouplike
+from coalgkit.coalgebra import (
+    AxiomCheck,
+    InternalCheckFailed,
+    ValidationReport,
+    divided_power,
+    grouplike,
+)
+from coalgkit.cohomology import InternalCheckFailed as CohomologyFailure
 from coalgkit.exactlin import Matrix, Subspace, kernel, kron
 from coalgkit.quiver import (
     Quiver,
@@ -118,6 +127,15 @@ def test_cotensor_power_one_is_m():
     power, chi = cotensor_power(m, 1)
     assert power.dim == m.dim
     assert chi == Matrix.identity(m.dim)
+
+
+def test_cotensor_internal_failure_raises_internal_check_failed(monkeypatch):
+    assert ExportedFailure is CohomologyFailure is InternalCheckFailed
+    failing = ValidationReport((AxiomCheck("compatibility", False, (0, 0, 1, 0)),))
+    monkeypatch.setattr(bicomodule, "validate_bicomodule", lambda m: failing)
+    m = arrow_bicomodule(loop_quiver())
+    with pytest.raises(InternalCheckFailed, match="cotensor"):
+        cotensor(m, m)
 
 
 def test_cotensor_mismatched_coalgebras():

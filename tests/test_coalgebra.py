@@ -1,25 +1,28 @@
-"""Coalgebra validation, constructors, duals, coradical and wedges."""
+"""Coalgebra validation, verify, constructors, coradical and wedges."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalgkit.bicomodule import BicomoduleMap, induced_on_cokernel, regular_bicomodule
 from coalgkit.coalgebra import (
     Coalgebra,
+    InternalCheckFailed,
     NotBicomoduleMap,
     NotSubcoalgebra,
     comatrix,
     coradical,
     divided_power,
-    dual_algebra,
     grouplike,
     iterated_delta,
     kernel_subcoalgebra,
     subcoalgebra_on,
     unit_coalgebra,
     validate_coalgebra,
+    verify,
     wedge,
     wedge_filtration,
     wedge_power,
@@ -32,9 +35,15 @@ from coalgkit.exactlin import (
     preimage,
     subspace_sum,
 )
-from coalgkit.quiver import deconcatenation_oracle, loop_quiver, cycle_quiver
+from coalgkit.quiver import cycle_quiver, deconcatenation_oracle, kronecker_quiver, loop_quiver
 
-from conftest import random_matrix
+from conftest import (
+    oracle_coradical,
+    permuted_coalgebra,
+    random_invertible,
+    random_matrix,
+    rebased_coalgebra,
+)
 
 
 def vertex_span(c: Coalgebra, count: int) -> Subspace:
@@ -107,34 +116,6 @@ def test_iterated_delta_bracketing_independence():
         assert kron(kron(eye, eye), c.delta) * d2 == d3
 
 
-# -- dual algebra -----------------------------------------------------------------
-
-
-def test_dual_of_grouplike_is_split_idempotents():
-    alg = dual_algebra(grouplike(3))
-    n = 3
-    expected = Matrix(n, n * n, {(i, i * n + i): 1 for i in range(n)})
-    assert alg.mult == expected
-
-
-def test_dual_of_unit_is_field():
-    alg = dual_algebra(unit_coalgebra())
-    assert alg.mult == Matrix.from_rows([[1]])
-    assert alg.unit == Matrix.from_rows([[1]])
-
-
-def test_dual_of_divided_power_is_truncated_polynomials():
-    trunc = 3
-    alg = dual_algebra(divided_power(trunc))
-    n = trunc + 1
-    expected = {}
-    for a in range(n):
-        for b in range(n):
-            if a + b <= trunc:
-                expected[(a + b, a * n + b)] = Fraction(1)
-    assert alg.mult == Matrix(n, n * n, expected)
-
-
 # -- coradical ---------------------------------------------------------------------
 
 
@@ -157,6 +138,31 @@ def test_coradical_of_path_truncations_is_vertex_span():
     for q, trunc in ((loop_quiver(), 3), (cycle_quiver(3), 2)):
         c, _ = deconcatenation_oracle(q, trunc)
         assert coradical(c) == vertex_span(c, q.n_vertices)
+
+
+CORADICAL_CASES = [
+    grouplike(3),
+    comatrix(2),
+    divided_power(5),
+    deconcatenation_oracle(loop_quiver(), 3)[0],
+    deconcatenation_oracle(kronecker_quiver(), 1)[0],
+    deconcatenation_oracle(cycle_quiver(3), 2)[0],
+]
+
+
+@st.composite
+def rebased_coalgebras(draw):
+    """A case of CORADICAL_CASES, its basis permuted or changed at random."""
+    c = draw(st.sampled_from(CORADICAL_CASES))
+    if draw(st.booleans()):
+        return permuted_coalgebra(c, draw(st.permutations(range(c.dim))))
+    return rebased_coalgebra(c, *random_invertible(random.Random(draw(st.integers(0, 2**32))), c.dim))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_coalgebras())
+def test_coradical_matches_trace_form_oracle(c):
+    assert coradical(c) == oracle_coradical(c)
 
 
 # -- kernel subcoalgebra -------------------------------------------------------------
@@ -324,3 +330,45 @@ def test_subcoalgebra_rejects_non_closed_subspace():
     bad = Subspace.span(c.dim, [{2: Fraction(1)}])  # top path alone is not closed
     with pytest.raises(NotSubcoalgebra):
         subcoalgebra_on(c, bad)
+
+
+# -- verify -----------------------------------------------------------------------------
+
+
+def _no_witness_search(monkeypatch):
+    def refuse(self, other):
+        raise RuntimeError("first_difference called on a passing check")
+
+    monkeypatch.setattr(Matrix, "first_difference", refuse)
+
+
+def test_verify_passes_silently_without_a_witness_search(monkeypatch):
+    _no_witness_search(monkeypatch)
+    verify("report", validate_coalgebra(divided_power(2)))
+    verify("bool", True)
+    verify("matrices", Matrix.identity(3), Matrix.identity(3))
+
+
+def test_verify_failed_report_names_the_check_and_failed_axioms():
+    c = divided_power(2)
+    broken = Coalgebra(c.dim, c.delta, c.epsilon.scale(2))
+    with pytest.raises(InternalCheckFailed) as exc:
+        verify("doubled counit", validate_coalgebra(broken))
+    assert str(exc.value) == (
+        "doubled counit fails axioms:\n"
+        "  left counit: FAIL at (0,0): 2 != 1\n"
+        "  right counit: FAIL at (0,0): 2 != 1"
+    )
+
+
+def test_verify_false_names_the_check():
+    with pytest.raises(InternalCheckFailed, match=r"^graded cocycle is closed: FAIL$"):
+        verify("graded cocycle is closed", False)
+
+
+def test_verify_matrix_mismatch_gives_the_first_differing_entry():
+    lhs = Matrix.from_rows([[1, 0], [2, 5]])
+    with pytest.raises(InternalCheckFailed, match=r"^coaction: FAIL at \(1,0\): 2 != 3$"):
+        verify("coaction", lhs, Matrix.from_rows([[1, 0], [3, 4]]))
+    with pytest.raises(InternalCheckFailed, match=r"^coaction: FAIL shape \(2, 2\) != \(2, 1\)$"):
+        verify("coaction", lhs, Matrix.zero(2, 1))

@@ -24,7 +24,6 @@ from coalgkit.exactlin import (
     preimage,
     rank,
     solve,
-    subspace_equal,
     subspace_intersect,
     subspace_sum,
 )
@@ -351,7 +350,7 @@ def test_canonical_equality():
             {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)},
         ],
     )
-    assert subspace_equal(a, b)
+    assert a == b
     assert a.basis == b.basis
 
 
