@@ -99,9 +99,11 @@ def _load(path):
         raise CliError(str(exc), 2)
 
 
-def _load_coalgebra(path):
+def _load_as(path, decode):
+    """decode(the file's JSON); malformed content exits 2 naming the file."""
+    obj = _load(path)
     try:
-        return serialize.coalgebra_from_obj(_load(path))
+        return decode(obj)
     except (FormatError, DimensionMismatch) as exc:
         raise CliError(f"{path}: {exc}", 2)
 
@@ -116,7 +118,7 @@ def _require_axioms(path, kind, report):
 
 def _load_valid_coalgebra(path):
     """A loaded coalgebra whose axioms hold; otherwise exit 1 naming the failure."""
-    c = _load_coalgebra(path)
+    c = _load_as(path, serialize.coalgebra_from_obj)
     _require_axioms(path, "coalgebra", validate_coalgebra(c))
     return c
 
@@ -126,25 +128,12 @@ def _require_nonnegative(value: int, flag: str):
         raise CliError(f"{flag} must be nonnegative, got {value}", 2)
 
 
-def _load_bicomodule(path):
-    try:
-        return serialize.bicomodule_from_obj(_load(path), base_dir=os.path.dirname(path))
-    except (FormatError, DimensionMismatch) as exc:
-        raise CliError(f"{path}: {exc}", 2)
-
-
 def _load_valid_bicomodule(path):
     """A loaded bicomodule whose axioms hold; otherwise exit 1 naming the failure."""
-    m = _load_bicomodule(path)
+    base_dir = os.path.dirname(path)
+    m = _load_as(path, lambda obj: serialize.bicomodule_from_obj(obj, base_dir=base_dir))
     _require_axioms(path, "bicomodule", validate_bicomodule(m))
     return m
-
-
-def _load_matrix(path):
-    try:
-        return serialize.matrix_from_obj(_load(path))
-    except (FormatError, DimensionMismatch) as exc:
-        raise CliError(f"{path}: {exc}", 2)
 
 
 def _emit(report: Report, payload, out_path):
@@ -203,7 +192,7 @@ def cmd_cotensor(args, report):
 
 def cmd_wedge_filtration(args, report):
     c = _load_valid_coalgebra(args.amb)
-    inc = _load_matrix(args.sub)
+    inc = _load_as(args.sub, serialize.matrix_from_obj)
     if inc.rows != c.dim:
         raise CliError("subspace basis does not live in the coalgebra", 2)
     sub = subcoalgebra_on(c, Subspace.from_matrix(inc))
@@ -298,10 +287,7 @@ def cmd_extension(args, report):
     l = _load_valid_bicomodule(args.bicomodule)
     if l.over != c:
         raise CliError("bicomodule is not over the given coalgebra", 2)
-    try:
-        z = serialize.cochain_from_obj(_load(args.cocycle))
-    except FormatError as exc:
-        raise CliError(f"{args.cocycle}: {exc}", 2)
+    z = _load_as(args.cocycle, serialize.cochain_from_obj)
     try:
         ext = hochschild_extension(c, l, z)
     except NotACocycle as exc:
@@ -348,12 +334,9 @@ def cmd_formally_smooth(args, report):
 
 def cmd_universal_map(args, report):
     e = _load_valid_coalgebra(args.E)
-    f_c_mat = _load_matrix(args.fC)
-    f_m = _load_matrix(args.fM)
-    try:
-        t = serialize.truncated_from_obj(_load(args.T))
-    except FormatError as exc:
-        raise CliError(f"{args.T}: {exc}", 2)
+    f_c_mat = _load_as(args.fC, serialize.matrix_from_obj)
+    f_m = _load_as(args.fM, serialize.matrix_from_obj)
+    t = _load_as(args.T, serialize.truncated_from_obj)
     try:
         f_c = CoalgebraMap(e, t.base, f_c_mat)
     except NotCoalgebraMap as exc:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .bicomodule import (
     Bicomodule,
+    BicomoduleMap,
     cotensor_tower,
     validate_bicomodule,
 )
@@ -23,7 +24,6 @@ from .coalgebra import (
     NotBicomoduleMap,
     Subcoalgebra,
     coradical,
-    iterated_delta,
     subcoalgebra_on,
     validate_coalgebra,
     verify,
@@ -76,11 +76,6 @@ class TruncatedCotensorCoalgebra:
         """Inclusion of the partial sum of degrees < n into the total space."""
         d = sum(self.grading[:n])
         return Matrix(self.total.dim, d, {(i, i): 1 for i in range(d)})
-
-    def pi(self, n: int) -> Matrix:
-        """Projection of the total space onto the partial sum of degrees < n."""
-        d = sum(self.grading[:n])
-        return Matrix(d, self.total.dim, {(i, i): 1 for i in range(d)})
 
     def coalgebra_slice(self) -> Subcoalgebra:
         """The degree-zero copy of the base, as a verified subcoalgebra."""
@@ -164,7 +159,7 @@ class GradedCocycle:
     bicomodule: Bicomodule  # M^[]n as a C^n(M)-bicomodule
 
 
-def _partial_inclusion(dims, t: int, upto: int, partial_dim: int) -> Matrix:
+def _partial_inclusion(dims, t: int, partial_dim: int) -> Matrix:
     off = sum(dims[:t])
     return Matrix(partial_dim, dims[t], {(off + a, a): 1 for a in range(dims[t])})
 
@@ -175,8 +170,8 @@ def _zeta_value(slices, n: int, partial_dim: int) -> Matrix:
     d_n = dims[n]
     out = Matrix.zero(partial_dim * partial_dim, d_n)
     for t in range(1, n):
-        i_t = _partial_inclusion(dims, t, n, partial_dim)
-        i_nt = _partial_inclusion(dims, n - t, n, partial_dim)
+        i_t = _partial_inclusion(dims, t, partial_dim)
+        i_nt = _partial_inclusion(dims, n - t, partial_dim)
         out = out - kron_mul([i_t, i_nt], _split_map(slices, t, n))
     return out
 
@@ -184,7 +179,7 @@ def _zeta_value(slices, n: int, partial_dim: int) -> Matrix:
 def _graded_bicomodule(slices, n: int, partial: Coalgebra) -> Bicomodule:
     """M^[]n over C^n(M): coactions land in the degree-zero block."""
     dims = [s.dim for s in slices]
-    inc0 = _partial_inclusion(dims, 0, n, partial.dim)
+    inc0 = _partial_inclusion(dims, 0, partial.dim)
     s = slices[n]
     rho_l = kron_mul([inc0, Matrix.identity(s.dim)], s.bicomodule.rho_l)
     rho_r = kron_mul([Matrix.identity(s.dim), inc0], s.bicomodule.rho_r)
@@ -314,79 +309,47 @@ def determination_check(
 # -- the universal map -------------------------------------------------------------
 
 
-def _corestricted_power(e: Coalgebra, e_tower, k: int) -> Matrix:
-    """The (k-1)-st iterated comultiplication corestricted to the k-th cotensor power."""
-    if k == 1:
-        return Matrix.identity(e.dim)
-    chi_k = e_tower[k][1]
-    return factor_through(chi_k, iterated_delta(e, k - 1))
-
-
-def _map_power(f_m: Matrix, e_tower, m_slices, k: int) -> Matrix:
-    """f^[]k : E^[]k -> M^[]k, the cotensor power of a bicomodule map."""
-    if k == 0:
-        raise ValueError("degree zero is handled separately")
-    chi_e = e_tower[k][1]
-    chi_m = m_slices[k].chi
-    return factor_through(chi_m, kron_mul([f_m] * k, chi_e))
-
-
 def universal_map(
     e: Coalgebra, f_c: CoalgebraMap, f_m: Matrix, t: TruncatedCotensorCoalgebra
 ) -> CoalgebraMap:
     """The unique coalgebra map into the truncation with components f_c, f_m.
 
-    Degree-k component: the k-th cotensor power of f_m composed with the
-    corestricted iterated comultiplication of the source.  Preconditions:
-    f_m must be a map of bicomodules for the structure induced by f_c, must
-    kill the coradical of the source, and all components beyond the
-    truncation must vanish.
+    The degree-k component is f_m^[]k composed with Delta^(k-1) corestricted
+    to E^[]k.  The inclusion chi_k : M^[]k -> M^(x)k turns that composite
+    into P_k = f_m^(x)k Delta^(k-1), and chi_k is injective, so the
+    component is the unique h with chi_k h = P_k.  The powers follow
+    P_1 = f_m and P_k = (P_(k-1) (x) f_m) Delta, because iterated_delta is
+    (Delta^(k-2) (x) E) Delta.  So neither E's cotensor tower nor any M^[]k
+    above the truncation is built: past degree n, a component vanishes
+    exactly when P_k does.  Preconditions: f_m must be a map of bicomodules
+    for the structure induced by f_c, must kill the coradical of the
+    source, and all components beyond the truncation must vanish.
     """
     if f_c.source != e or f_c.target != t.base:
         raise ValueError("f_c must map the source coalgebra to the base")
-    c = t.base
-    eye_e = Matrix.identity(e.dim)
-    eye_c = Matrix.identity(c.dim)
-    rho_l_e = kron_mul([f_c.map, eye_e], e.delta)
-    rho_r_e = kron_mul([eye_e, f_c.map], e.delta)
-    e_bic = Bicomodule(c, e.dim, rho_l_e, rho_r_e)
     if f_m.shape != (t.input.dim, e.dim):
         raise NotBicomoduleMap(f"f_m must be {t.input.dim}x{e.dim}")
-    if t.input.rho_l * f_m != kron_mul([eye_c, f_m], rho_l_e):
-        raise NotBicomoduleMap("left coaction not intertwined")
-    if t.input.rho_r * f_m != kron_mul([f_m, eye_c], rho_r_e):
-        raise NotBicomoduleMap("right coaction not intertwined")
+    eye_e = Matrix.identity(e.dim)
+    rho_l_e = kron_mul([f_c.map, eye_e], e.delta)
+    rho_r_e = kron_mul([eye_e, f_c.map], e.delta)
+    BicomoduleMap(Bicomodule(t.base, e.dim, rho_l_e, rho_r_e), t.input, f_m)
 
     corad = coradical(e)
     if not (f_m * corad.basis).is_zero():
         raise NicholsViolated("degree-one component is nonzero on the coradical")
 
-    n = t.trunc
-    e_tower = cotensor_tower(e_bic, n + 1)
-    m_slices = _make_slices(c, t.input, n + 1)
-
-    components = [f_c.map]
-    for k in range(1, n + 1):
-        components.append(_map_power(f_m, e_tower, m_slices, k) * _corestricted_power(e, e_tower, k))
-
-    overflow = _map_power(f_m, e_tower, m_slices, n + 1) * _corestricted_power(
-        e, e_tower, n + 1
-    )
-    if not overflow.is_zero():
-        k = n + 1
-        cap = e.dim + 2
-        while k <= cap:
-            k += 1
-            e_tower = cotensor_tower(e_bic, k)
-            m_slices = _make_slices(c, t.input, k)
-            over = _map_power(f_m, e_tower, m_slices, k) * _corestricted_power(e, e_tower, k)
-            if over.is_zero():
+    total = t.inclusions[0] * f_c.map
+    power = f_m
+    for k in range(1, t.trunc + 1):
+        total = total + t.inclusions[k] * factor_through(t.slices[k].chi, power)
+        power = kron_mul([power, f_m], e.delta)
+    if not power.is_zero():
+        for k in range(t.trunc + 2, e.dim + 4):
+            power = kron_mul([power, f_m], e.delta)
+            if power.is_zero():
                 raise TruncationTooSmall(k - 1)
         verify("components vanish above some degree (the coradical filtration)", False)
 
-    total = Matrix.zero(t.total.dim, e.dim)
-    for k, comp in enumerate(components):
-        total = total + t.inclusions[k] * comp
     result = CoalgebraMap(e, t.total, total)
     verify("universal map keeps its degree-0 component", t.projections[0] * total, f_c.map)
     verify("universal map keeps its degree-1 component", t.projections[1] * total, f_m)

@@ -121,7 +121,9 @@ def cochain_from_obj(obj):
 
     if not isinstance(obj, dict) or not {"degree", "value"} <= set(obj):
         raise FormatError("cochain object needs degree and value")
-    return Cochain(degree=obj["degree"], value=matrix_from_obj(obj["value"]))
+    return Cochain(
+        degree=_decode_dim(obj["degree"], "cochain degree"), value=matrix_from_obj(obj["value"])
+    )
 
 
 def truncated_to_obj(t, include_maps: bool = False) -> dict:
@@ -146,11 +148,14 @@ def truncated_from_obj(obj):
     if not isinstance(obj, dict) or not {"total", "trunc", "grading"} <= set(obj):
         raise FormatError("truncated object needs total, trunc and grading")
     total = coalgebra_from_obj(obj["total"])
-    grading = list(obj["grading"])
+    trunc = _decode_dim(obj["trunc"], "trunc")
+    if not isinstance(obj["grading"], list):
+        raise FormatError(f"grading must be a list of dimensions, got {obj['grading']!r}")
+    grading = [_decode_dim(d, "grading entry") for d in obj["grading"]]
     if {"base", "input"} <= set(obj):
         base = coalgebra_from_obj(obj["base"])
         inp = bicomodule_from_obj(obj["input"])
-    elif obj["trunc"] >= 1 and len(grading) >= 2:
+    elif trunc >= 1 and len(grading) >= 2:
         # the base and the degree-one slice sit in the leading corner blocks
         d0, d1 = grading[0], grading[1]
         i0 = Matrix(total.dim, d0, {(i, i): 1 for i in range(d0)})
@@ -171,7 +176,7 @@ def truncated_from_obj(obj):
         )
     else:
         raise FormatError("degree-zero truncations need embedded base and input")
-    t = build_truncated(base, inp, obj["trunc"])
+    t = build_truncated(base, inp, trunc)
     if list(t.grading) != grading:
         raise FormatError("grading does not match the rebuilt object")
     if t.total.delta != total.delta or t.total.epsilon != total.epsilon:

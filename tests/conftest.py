@@ -13,9 +13,9 @@ from heapq import heappop, heappush
 
 import pytest
 
-from coalgkit.bicomodule import Bicomodule, outer_bicomodule
-from coalgkit.coalgebra import Coalgebra, comatrix, divided_power, grouplike
-from coalgkit.exactlin import DimensionMismatch, Matrix, Subspace, kernel, kron
+from coalgkit.bicomodule import Bicomodule, cotensor_tower, outer_bicomodule
+from coalgkit.coalgebra import Coalgebra, comatrix, divided_power, grouplike, iterated_delta
+from coalgkit.exactlin import DimensionMismatch, Matrix, Subspace, factor_through, kernel, kron, kron_mul
 from coalgkit.quiver import (
     Quiver,
     arrow_bicomodule,
@@ -213,6 +213,26 @@ def oracle_coradical(c: Coalgebra) -> Subspace:
     if radical.dim == 0:
         return Subspace.full(n)
     return kernel(radical.basis.transpose())
+
+
+def oracle_universal_components(e, f_c, f_m: Matrix, t, upto=None) -> list:
+    """Reference degree-k pieces of the universal map, k = 1..upto (default
+    t.trunc), by the cotensor-power route: builds E's own cotensor tower over
+    the base (coactions through f_c) and returns, per degree, the pair
+    (f_m^[]k : E^[]k -> M^[]k as the restriction-corestriction of f_m^(x)k
+    to t.slices[k], Delta^(k-1) corestricted to E^[]k); the component is
+    their product."""
+    upto = t.trunc if upto is None else upto
+    eye_e = Matrix.identity(e.dim)
+    e_bic = Bicomodule(
+        t.base, e.dim, kron_mul([f_c.map, eye_e], e.delta), kron_mul([eye_e, f_c.map], e.delta)
+    )
+    pieces = []
+    for k, (_, chi_e) in enumerate(cotensor_tower(e_bic, upto)[1:], 1):
+        power = factor_through(t.slices[k].chi, kron_mul([f_m] * k, chi_e))
+        corestricted = factor_through(chi_e, iterated_delta(e, k - 1))
+        pieces.append((power, corestricted))
+    return pieces
 
 
 def probe_system(shape, residual_fn) -> tuple:

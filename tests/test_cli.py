@@ -401,3 +401,26 @@ def test_internal_failure_is_one_line_exit_3(files, capsys, monkeypatch, command
     assert out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "flag, field, value",
+    [("--cocycle", "degree", "2"), ("--cocycle", "degree", -1), ("--T", "trunc", "1"), ("--T", "grading", 5)],
+)
+def test_malformed_cochain_or_truncation_is_exit_2(files, capsys, flag, field, value):
+    _, write = files
+    c = grouplike(1)
+    m = regular_bicomodule(c)
+    c_path = write("c.json", serialize.coalgebra_to_obj(c))
+    m_path = write("m.json", serialize.bicomodule_to_obj(m))
+    s_path = write("s.json", serialize.matrix_to_obj(Matrix.identity(1)))
+    if flag == "--cocycle":
+        obj = serialize.cochain_to_obj(Cochain(2, Matrix.zero(1, 1)))
+        argv = ["extension", "--coalgebra", c_path, "--bicomodule", m_path]
+    else:
+        obj = serialize.truncated_to_obj(build_truncated(c, m, 1))
+        argv = ["universal-map", "--E", c_path, "--fC", s_path, "--fM", s_path]
+    bad = write("bad.json", dict(obj, **{field: value}))
+    assert main(argv + [flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1

@@ -1,5 +1,8 @@
 """The truncated construction, its cocycle tower and the universal map."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from coalgkit.coalgebra import (
@@ -32,6 +35,8 @@ from coalgkit.quiver import (
     loop_quiver,
     vertex_coalgebra,
 )
+
+from conftest import oracle_universal_components
 
 
 def build(q, trunc):
@@ -195,9 +200,8 @@ def test_block_maps_are_orthogonal_sections():
 
 
 def test_cotensor_of_maps_matches_direct_restriction():
-    # the squared component of the universal map both ways
-    from coalgkit.bicomodule import Bicomodule, BicomoduleMap, cotensor_of_maps, cotensor_tower
-    from coalgkit.cotensor import _make_slices, _map_power
+    # the squared cotensor power of the degree-one component both ways
+    from coalgkit.bicomodule import Bicomodule, BicomoduleMap, cotensor_of_maps
     from coalgkit.exactlin import kron
 
     e = divided_power(2)
@@ -210,8 +214,7 @@ def test_cotensor_of_maps_matches_direct_restriction():
     )
     fmap = BicomoduleMap(e_bic, t.input, f_m)
     via_functor = cotensor_of_maps(fmap, fmap)
-    e_tower = cotensor_tower(e_bic, 2)
-    direct = _map_power(f_m, e_tower, _make_slices(t.base, t.input, 2), 2)
+    direct, _ = oracle_universal_components(e, f_c, f_m, t, 2)[1]
     assert via_functor == direct
 
 
@@ -262,28 +265,18 @@ def test_universal_map_embeds_divided_powers():
     assert f.map == expected
 
 
-def test_universal_map_components_satisfy_the_recursion():
-    from coalgkit.bicomodule import cotensor_tower
-    from coalgkit.cotensor import _corestricted_power, _make_slices, _map_power
-    from coalgkit.exactlin import kron
+def _universal_map_against_oracle(e, f_c, f_m, t):
+    f = universal_map(e, f_c, f_m, t)
+    assert t.projections[0] * f.map == f_c.map
+    for k, (power, corestricted) in enumerate(oracle_universal_components(e, f_c, f_m, t), 1):
+        assert t.projections[k] * f.map == power * corestricted
+    return f
 
+
+def test_universal_map_components_satisfy_the_recursion():
     e = divided_power(3)
     t = build(loop_quiver(), 4)
-    f_c = CoalgebraMap(e, t.base, e.epsilon)
-    f_m = Matrix(1, 4, {(0, 1): 1})
-    f = universal_map(e, f_c, f_m, t)
-    eye_e = Matrix.identity(e.dim)
-    rho_l = kron(f_c.map, eye_e) * e.delta
-    rho_r = kron(eye_e, f_c.map) * e.delta
-    from coalgkit.bicomodule import Bicomodule
-
-    e_bic = Bicomodule(t.base, e.dim, rho_l, rho_r)
-    e_tower = cotensor_tower(e_bic, t.trunc)
-    m_slices = _make_slices(t.base, t.input, t.trunc)
-    assert t.projections[0] * f.map == f_c.map
-    for k in range(1, t.trunc + 1):
-        comp = _map_power(f_m, e_tower, m_slices, k) * _corestricted_power(e, e_tower, k)
-        assert t.projections[k] * f.map == comp
+    _universal_map_against_oracle(e, CoalgebraMap(e, t.base, e.epsilon), Matrix(1, 4, {(0, 1): 1}), t)
 
 
 def test_universal_map_rejects_nonzero_on_coradical():
@@ -311,3 +304,70 @@ def test_universal_map_rejects_non_bicomodule_maps():
     bad = Matrix(1, 3, {(0, 0): 1})  # sends a vertex to the arrow: breaks the grading
     with pytest.raises(NotBicomoduleMap):
         universal_map(e, f_c, bad, t)
+
+
+def _universal_map_battery(rng):
+    """46 cases: divided powers into loop truncations at two scalings of f_M;
+    identity, zero and bigger-into-smaller maps on four quivers; one map that
+    breaks the coactions and one that is nonzero on the coradical."""
+    a2 = single_arrow_quiver()
+    for d in range(1, 5):
+        e = divided_power(d)
+        for n in range(1, 5):
+            t = build(loop_quiver(), n)
+            for s in (1, rng.choice((-3, -2, 2, 3, Fraction(1, 2)))):
+                yield e, CoalgebraMap(e, t.base, e.epsilon), Matrix(1, d + 1, {(0, 1): s}), t
+    for q in (loop_quiver(), kronecker_quiver(), cycle_quiver(3), a2):
+        t, big = build(q, 2), build(q, 3)
+        yield t.total, CoalgebraMap(t.total, t.base, t.projections[0]), t.projections[1], t
+        ident = CoalgebraMap(t.base, t.base, Matrix.identity(t.base.dim))
+        yield t.base, ident, Matrix.zero(t.input.dim, t.base.dim), t
+        yield big.total, CoalgebraMap(big.total, t.base, big.projections[0]), big.projections[1], t
+    t = build(a2, 2)
+    yield t.total, CoalgebraMap(t.total, t.base, t.projections[0]), Matrix(1, 3, {(0, 0): 1}), t
+    t = build(loop_quiver(), 2)
+    yield t.base, CoalgebraMap(t.base, t.base, Matrix.identity(1)), Matrix.from_rows([[1]]), t
+
+
+def test_universal_map_matches_the_cotensor_power_route():
+    outcomes = []
+    for e, f_c, f_m, t in _universal_map_battery(random.Random(3001)):
+        try:
+            _universal_map_against_oracle(e, f_c, f_m, t)
+            outcomes.append("map")
+        except TruncationTooSmall as exc:
+            # the reported level is enough, and its top component is needed
+            assert exc.minimal > t.trunc
+            t = build_truncated(t.base, t.input, exc.minimal)
+            f = _universal_map_against_oracle(e, f_c, f_m, t)
+            assert not (t.projections[-1] * f.map).is_zero()
+            outcomes.append("too small")
+        except (NotBicomoduleMap, NicholsViolated) as exc:
+            outcomes.append(type(exc).__name__)
+    assert len(outcomes) == 46
+    assert outcomes.count("too small") == 14
+    assert outcomes[-2:] == ["NotBicomoduleMap", "NicholsViolated"]
+
+
+def test_universal_map_overflow_needs_no_tower_above_the_truncation():
+    e = divided_power(6)
+    t = build(loop_quiver(), 2)
+    with pytest.raises(TruncationTooSmall) as exc:
+        universal_map(e, CoalgebraMap(e, t.base, e.epsilon), Matrix(1, 7, {(0, 1): 1}), t)
+    assert exc.value.minimal == 6
+
+
+def test_universal_map_makes_no_cotensor_call(monkeypatch):
+    import coalgkit.bicomodule
+
+    t = build(loop_quiver(), 3)
+    e = divided_power(2)
+    small = build(loop_quiver(), 1)
+    monkeypatch.setattr(coalgkit.bicomodule, "cotensor", lambda *args: pytest.fail("cotensor called"))
+    ident = universal_map(t.total, CoalgebraMap(t.total, t.base, t.projections[0]), t.projections[1], t)
+    assert ident.map == Matrix.identity(t.total.dim)
+    f = universal_map(e, CoalgebraMap(e, t.base, e.epsilon), Matrix(1, 3, {(0, 1): 1}), t)
+    assert f.map == Matrix(4, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1})
+    with pytest.raises(TruncationTooSmall) as exc:
+        universal_map(e, CoalgebraMap(e, small.base, e.epsilon), Matrix(1, 3, {(0, 1): 1}), small)
+    assert exc.value.minimal == 2
